@@ -133,11 +133,12 @@ RecoveryCost crash_recovery(std::int64_t pages) {
   const Time t0 = cluster.sim().now();
   cluster.kernel().crash_host(runner);
   RecoveryCost out;
+  const sprite::trace::Registry& tr = cluster.sim().trace();
   auto restarted = [&] {
     for (int i = 0; i < cluster.num_workstations(); ++i) {
       const HostId h = cluster.workstation(i);
       if (h == runner) continue;
-      if (cluster.host(h).ckpt().stats().restarts > 0) return true;
+      if (tr.counter_value("ckpt.restart.completed", h) > 0) return true;
     }
     return false;
   };
@@ -147,7 +148,7 @@ RecoveryCost crash_recovery(std::int64_t pages) {
   out.detect_and_restart_ms = (cluster.sim().now() - t0).ms();
   for (int i = 0; i < cluster.num_workstations(); ++i)
     out.pages_restored +=
-        cluster.host(cluster.workstation(i)).ckpt().stats().pages_restored;
+        tr.counter_value("ckpt.page.restored", cluster.workstation(i));
   cluster.kernel().reboot_host(runner);
   return out;
 }

@@ -101,14 +101,16 @@ Cell run_cell(int servers, int replicas, bool crash, double serial_s,
   c.makespan_s = (t1 - t0).s();
   c.speedup = serial_s / c.makespan_s;
   c.failed_jobs = r.failed_jobs;
-  c.promotions = bench::sum_counter(*cluster, "fs.failover.promotions");
-  c.reroutes = bench::sum_counter(*cluster, "fs.failover.reroutes");
-  c.reopens = bench::sum_counter(*cluster, "fs.failover.reopens");
-  c.dirty_lost = bench::sum_counter(*cluster, "fs.cache.dirty_lost");
-  c.failover_p50_ms =
-      bench::merged_latency_percentile(*cluster, "fs.failover.latency_ms", 0.5);
-  c.failover_p99_ms = bench::merged_latency_percentile(
-      *cluster, "fs.failover.latency_ms", 0.99);
+  const sprite::trace::Registry& tr = cluster->sim().trace();
+  c.promotions = tr.counter_total("fs.failover.promotions");
+  c.reroutes = tr.counter_total("fs.failover.reroutes");
+  c.reopens = tr.counter_total("fs.failover.reopens");
+  c.dirty_lost = tr.counter_total("fs.cache.dirty_lost");
+  const auto failover = tr.histogram_total("fs.failover.latency_ms");
+  c.failover_p50_ms = sprite::trace::percentile_from_buckets(
+      failover.bounds, failover.counts, failover.count, 0.5);
+  c.failover_p99_ms = sprite::trace::percentile_from_buckets(
+      failover.bounds, failover.counts, failover.count, 0.99);
   bench::write_metrics(*cluster, metrics_out);
   bench::write_series(sampler, series_out);
   return c;

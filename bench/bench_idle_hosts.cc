@@ -4,13 +4,13 @@
 // at night and on weekends; long-idle hosts tend to stay idle [ML87].
 #include <cstdio>
 
-#include "apps/workload.h"
-#include "bench_util.h"
 #include <map>
 
+#include "bench_util.h"
 #include "util/stats.h"
+#include "workload/activity.h"
 
-using sprite::apps::UserActivityModel;
+using sprite::wl::UserActivityModel;
 using sprite::core::SpriteCluster;
 using sprite::sim::Time;
 using sprite::util::Table;

@@ -36,8 +36,11 @@ Point run(int hosts, bool name_cache, double* serial_out) {
       cluster.kernel().host(i).fs().enable_name_cache(true);
   }
   cluster.warm_up();
-  auto* server = cluster.kernel().file_server().fs_server();
-  server->reset_stats();
+  const sprite::trace::Registry& tr = cluster.sim().trace();
+  const sprite::sim::HostId server = cluster.kernel().file_server().id();
+  const auto lookups_before =
+      tr.counter_value("fs.server.lookup.components", server);
+  const auto hinted_before = tr.counter_value("fs.server.open.hinted", server);
   const Time t0 = cluster.sim().now();
   auto r = bench::run_pmake(cluster, graph, hosts + 1, true);
   const Time t1 = cluster.sim().now();
@@ -46,8 +49,9 @@ Point run(int hosts, bool name_cache, double* serial_out) {
   p.server_util = cluster.kernel().file_server().cpu().busy_time(
                       sprite::sim::JobClass::kKernel) /
                   (t1 - t0 + Time::usec(1));
-  p.lookups = server->stats().lookup_components;
-  p.hinted = server->stats().hinted_opens;
+  p.lookups =
+      tr.counter_value("fs.server.lookup.components", server) - lookups_before;
+  p.hinted = tr.counter_value("fs.server.open.hinted", server) - hinted_before;
   return p;
 }
 

@@ -41,8 +41,10 @@ int main() {
   for (int hosts : {2, 4, 6, 8, 12, 16}) {
     SpriteCluster cluster({.workstations = hosts + 1, .seed = 33});
     cluster.warm_up();
-    auto* server = cluster.kernel().file_server().fs_server();
-    server->reset_stats();
+    const sprite::trace::Registry& tr = cluster.sim().trace();
+    const sprite::sim::HostId server = cluster.kernel().file_server().id();
+    const auto lookups_before =
+        tr.counter_value("fs.server.lookup.components", server);
     const Time t0 = cluster.sim().now();
     auto r = bench::run_pmake(cluster, graph, hosts + 1, true);
     const Time t1 = cluster.sim().now();
@@ -53,7 +55,9 @@ int main() {
     t.add_row({std::to_string(hosts), Table::num(r.makespan.s(), 1),
                Table::num(serial_s / r.makespan.s(), 2),
                std::to_string(r.remote_jobs), Table::num(server_util, 2),
-               std::to_string(server->stats().lookup_components)});
+               std::to_string(
+                   tr.counter_value("fs.server.lookup.components", server) -
+                   lookups_before)});
   }
   t.print();
 

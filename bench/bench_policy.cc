@@ -12,10 +12,10 @@
 //     reason to move active processes.
 #include <cstdio>
 
-#include "apps/workload.h"
 #include "bench_util.h"
+#include "workload/policy.h"
 
-using sprite::apps::PolicyWorkload;
+using sprite::wl::PolicyWorkload;
 using sprite::core::SpriteCluster;
 using sprite::sim::Time;
 using sprite::util::Table;

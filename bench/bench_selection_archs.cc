@@ -71,7 +71,7 @@ ArchResult run_arch(Arch arch, int workstations, int requesters,
   ArchResult r;
   r.median_ms = latency.median();
   r.grants_per_req = static_cast<double>(total_grants) / total_requests;
-  r.bad_grants = cluster.load_sharing().aggregate_stats().bad_grants;
+  r.bad_grants = cluster.sim().trace().counter_total("ls.select.bad_grant");
   r.msgs_per_request =
       static_cast<double>(cluster.kernel().net().messages_sent() -
                           msgs_before) /

@@ -49,48 +49,6 @@ inline std::unique_ptr<sprite::core::SpriteCluster> sharded_cluster(
   return std::make_unique<sprite::core::SpriteCluster>(co);
 }
 
-// Sum of a counter across every host slot (plus the unscoped slot).
-inline std::int64_t sum_counter(sprite::core::SpriteCluster& cluster,
-                                const std::string& name) {
-  sprite::trace::Registry& tr = cluster.sim().trace();
-  std::int64_t total = tr.counter_value(name, sprite::sim::kInvalidHost);
-  for (std::size_t h = 0; h < cluster.kernel().num_hosts(); ++h)
-    total += tr.counter_value(name, static_cast<sprite::sim::HostId>(h));
-  return total;
-}
-
-// Percentile (0 < q < 1) over a latency histogram merged across all hosts,
-// with linear interpolation inside the winning bucket. Returns 0 when the
-// histogram is empty.
-inline double merged_latency_percentile(sprite::core::SpriteCluster& cluster,
-                                        const std::string& name, double q) {
-  const auto bounds = sprite::trace::default_latency_bounds_ms();
-  std::vector<std::int64_t> counts(bounds.size() + 1, 0);
-  std::int64_t total = 0;
-  sprite::trace::Registry& tr = cluster.sim().trace();
-  for (std::size_t hi = 0; hi < cluster.kernel().num_hosts(); ++hi) {
-    auto& h = tr.histogram(name, bounds,
-                           static_cast<sprite::sim::HostId>(hi));
-    for (std::size_t b = 0; b < counts.size(); ++b) counts[b] += h.bucket(b);
-    total += h.count();
-  }
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  double cum = 0.0;
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    const double next = cum + static_cast<double>(counts[b]);
-    if (next >= target && counts[b] > 0) {
-      const double lo = b == 0 ? 0.0 : bounds[b - 1];
-      if (b == bounds.size()) return lo;  // overflow bucket: report its floor
-      const double hi = bounds[b];
-      return lo +
-             (hi - lo) * (target - cum) / static_cast<double>(counts[b]);
-    }
-    cum = next;
-  }
-  return bounds.back();
-}
-
 inline void header(const char* experiment, const char* paper_claim) {
   std::printf("==================================================================\n");
   std::printf("%s\n", experiment);

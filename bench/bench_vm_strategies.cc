@@ -108,7 +108,7 @@ Sample migrate_once(const CellOpts& o) {
   // Settle: the post-copy push daemon drains residual pages here; for every
   // other strategy this window is inert.
   cluster.run_for(Time::sec(5));
-  s.drained = bench::sum_counter(cluster, "xfer.postcopy.drained");
+  s.drained = cluster.sim().trace().counter_total("xfer.postcopy.drained");
   s.push_left = static_cast<std::int64_t>(
       cluster.host(cluster.workstation(0)).mig().xfer().active_pushes());
   // Touch the whole image on the target to expose demand-paging costs that
@@ -121,8 +121,8 @@ Sample migrate_once(const CellOpts& o) {
         .touch(pcb->space, sprite::vm::Segment::kHeap, 0, pages, false,
                [&](sprite::util::Status) { done = true; });
     cluster.kernel().run_until_done([&] { return done; });
-    s.remote_faults =
-        cluster.host(cluster.workstation(1)).vm().stats().pages_from_remote;
+    s.remote_faults = cluster.sim().trace().counter_value(
+        "vm.page.remote_pulled", cluster.workstation(1));
   }
   return s;
 }
@@ -157,7 +157,7 @@ std::int64_t farm_bytes(VmStrategy strategy, int workers, std::uint64_t seed,
                  .bytes_on_wire;
   }
   if (deduped_out != nullptr)
-    *deduped_out = bench::sum_counter(cluster, "xfer.page.deduped");
+    *deduped_out = cluster.sim().trace().counter_total("xfer.page.deduped");
   return bytes;
 }
 

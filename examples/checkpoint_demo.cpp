@@ -67,15 +67,16 @@ int main(int argc, char** argv) {
               cluster.host(borrowed).name().c_str());
 
   cluster.run_for(Time::sec(50));
-  {
-    const auto& s = ck.stats();
-    std::printf("after 50 s: %lld captures (%lld full + %lld incremental), "
-                "%lld pages written\n",
-                static_cast<long long>(s.captures),
-                static_cast<long long>(s.full_bases),
-                static_cast<long long>(s.incrementals),
-                static_cast<long long>(s.pages_captured));
-  }
+  std::printf(
+      "after 50 s: %lld captures (%lld full + %lld incremental), "
+      "%lld pages written\n",
+      static_cast<long long>(
+          tr.counter_value("ckpt.capture.completed", borrowed)),
+      static_cast<long long>(
+          tr.counter_value("ckpt.capture.full_base", borrowed)),
+      static_cast<long long>(
+          tr.counter_value("ckpt.capture.incremental", borrowed)),
+      static_cast<long long>(tr.counter_value("ckpt.page.captured", borrowed)));
 
   std::printf("\n*** %s loses power ***\n",
               cluster.host(borrowed).name().c_str());
@@ -86,15 +87,10 @@ int main(int argc, char** argv) {
   cluster.run_for(Time::sec(30));
   const auto now_on = cluster.locate(pid);
   std::printf("restarted on %s\n", cluster.host(now_on).name().c_str());
-  std::int64_t restarts = 0, restored = 0;
-  for (int i = 0; i < cluster.num_workstations(); ++i) {
-    const auto& s = cluster.host(cluster.workstation(i)).ckpt().stats();
-    restarts += s.restarts;
-    restored += s.pages_restored;
-  }
+  const std::int64_t restarts = tr.counter_total("ckpt.restart.completed");
   std::printf("restarts: %lld, pages restored from image: %lld\n",
               static_cast<long long>(restarts),
-              static_cast<long long>(restored));
+              static_cast<long long>(tr.counter_total("ckpt.page.restored")));
 
   cluster.kernel().reboot_host(borrowed);
   const int status = cluster.wait(pid);

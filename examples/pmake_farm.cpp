@@ -53,11 +53,14 @@ int main() {
               p.makespan.s(), p.remote_jobs, p.jobs);
   std::printf("speedup       : %5.2fx\n\n", s.makespan.s() / p.makespan.s());
 
-  const auto& fss = parallel.kernel().file_server().fs_server()->stats();
-  std::printf("file server during the parallel build: %lld opens, "
-              "%lld pathname components looked up\n",
-              static_cast<long long>(fss.opens),
-              static_cast<long long>(fss.lookup_components));
+  const sprite::trace::Registry& tr = parallel.sim().trace();
+  const auto server = parallel.kernel().file_server().id();
+  std::printf(
+      "file server during the parallel build: %lld opens, "
+      "%lld pathname components looked up\n",
+      static_cast<long long>(tr.counter_value("fs.server.open.served", server)),
+      static_cast<long long>(
+          tr.counter_value("fs.server.lookup.components", server)));
   std::printf("server name lookups are the scaling bottleneck the thesis "
               "identifies (see bench_pmake_speedup).\n");
   return 0;

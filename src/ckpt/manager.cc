@@ -108,23 +108,6 @@ proc::ProcTable& CkptManager::procs() const { return host_.procs(); }
 vm::VmManager& CkptManager::vm() const { return host_.vm(); }
 fs::FsClient& CkptManager::fs() const { return host_.fs(); }
 
-const CkptManager::Stats& CkptManager::stats() const {
-  stats_view_.captures = c_captures_->value();
-  stats_view_.capture_failures = c_capture_failed_->value();
-  stats_view_.full_bases = c_full_->value();
-  stats_view_.incrementals = c_incr_->value();
-  stats_view_.declined = c_declined_->value();
-  stats_view_.pages_captured = c_pages_captured_->value();
-  stats_view_.restarts = c_restarts_->value();
-  stats_view_.restarts_failed = c_restart_failed_->value();
-  stats_view_.pages_restored = c_pages_restored_->value();
-  stats_view_.compactions = c_compactions_->value();
-  stats_view_.auto_triggers = c_auto_->value();
-  stats_view_.departs = c_departs_->value();
-  stats_view_.stale_reaped = c_stale_reaped_->value();
-  return stats_view_;
-}
-
 std::int64_t CkptManager::chain_length(proc::Pid pid) const {
   auto it = chains_.find(pid);
   return it == chains_.end()
@@ -314,6 +297,13 @@ void CkptManager::capture_plan(std::uint64_t token) {
   if (it == captures_.end()) return;
   Capture& c = it->second;
   const proc::Pid pid = c.pcb->pid;
+  // eligible() ran before the freeze; the flush, the CPU job and the chain
+  // reads since then give an exit, exec or stale-incarnation reap time to
+  // take the process (and its address space) away.
+  if (procs().find(pid) != c.pcb)
+    return capture_fail(
+        token, Status(Err::kSrch, "process left this host mid-capture"));
+  if (Status e = eligible(*c.pcb); !e.is_ok()) return capture_fail(token, e);
   const int chain_max = host_.cluster().costs().ckpt_chain_max;
 
   auto cit = chains_.find(pid);
@@ -457,7 +447,9 @@ void CkptManager::capture_commit(std::uint64_t token) {
     active_captures_.erase(pid);
 
     const Time now = host_.cluster().sim().now();
-    vm().clear_ckpt_dirty(c.pcb->space);
+    // The image is durable; a process reaped during the writes has no
+    // space left to clear.
+    if (c.pcb->space) vm().clear_ckpt_dirty(c.pcb->space);
     Chain& ch = chains_[pid];
     ch.seqs = c.chain;
     ch.last_capture = now;

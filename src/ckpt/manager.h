@@ -163,24 +163,6 @@ class CkptManager : public proc::RestarterIface {
   void boot();
   void collect_peer_interest(std::vector<sim::HostId>& out) const;
 
-  // Registry-backed statistics view.
-  struct Stats {
-    std::int64_t captures = 0;
-    std::int64_t capture_failures = 0;
-    std::int64_t full_bases = 0;
-    std::int64_t incrementals = 0;
-    std::int64_t declined = 0;
-    std::int64_t pages_captured = 0;
-    std::int64_t restarts = 0;
-    std::int64_t restarts_failed = 0;
-    std::int64_t pages_restored = 0;
-    std::int64_t compactions = 0;
-    std::int64_t auto_triggers = 0;
-    std::int64_t departs = 0;
-    std::int64_t stale_reaped = 0;
-  };
-  const Stats& stats() const;
-
  private:
   // One in-flight capture. Closures hold the token and revalidate through
   // captures_ so a crash (which clears the map) turns them into no-ops.
@@ -346,7 +328,6 @@ class CkptManager : public proc::RestarterIface {
   trace::Counter* c_registers_;
   trace::LatencyHistogram* h_capture_ms_;
   trace::LatencyHistogram* h_restart_ms_;
-  mutable Stats stats_view_;
 };
 
 }  // namespace sprite::ckpt

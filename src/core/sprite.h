@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "apps/pmake.h"
-#include "apps/workload.h"  // compat shim over src/workload/
 #include "kern/cluster.h"
 #include "loadshare/facility.h"
 #include "migration/manager.h"

@@ -40,31 +40,6 @@ FsClient::FsClient(sim::Simulator& sim, sim::Cpu& cpu, rpc::RpcNode& rpc,
                                  trace::default_latency_bounds_ms(), self);
 }
 
-const FsClient::Stats& FsClient::stats() const {
-  stats_view_.cache_hit_blocks = c_cache_hit_->value();
-  stats_view_.cache_miss_blocks = c_cache_miss_->value();
-  stats_view_.remote_reads = c_remote_reads_->value();
-  stats_view_.remote_writes = c_remote_writes_->value();
-  stats_view_.name_cache_hits = c_name_hits_->value();
-  stats_view_.name_cache_stale = c_name_stale_->value();
-  stats_view_.writeback_bytes = c_writeback_bytes_->value();
-  stats_view_.recalls_served = c_recalls_->value();
-  stats_view_.cache_disables = c_cache_disables_->value();
-  return stats_view_;
-}
-
-void FsClient::reset_stats() {
-  c_cache_hit_->reset();
-  c_cache_miss_->reset();
-  c_remote_reads_->reset();
-  c_remote_writes_->reset();
-  c_name_hits_->reset();
-  c_name_stale_->reset();
-  c_writeback_bytes_->reset();
-  c_recalls_->reset();
-  c_cache_disables_->reset();
-}
-
 void FsClient::register_services() {
   rpc_.register_service(
       ServiceId::kFsCallback,

@@ -198,21 +198,6 @@ class FsClient {
   // Number of parked pipe retry closures (starvation diagnosis).
   std::size_t parked_pipe_retries() const;
 
-  // ---- Statistics (registry-backed; the struct is a refreshed view) ----
-  struct Stats {
-    std::int64_t cache_hit_blocks = 0;
-    std::int64_t cache_miss_blocks = 0;
-    std::int64_t remote_reads = 0;   // read RPCs issued
-    std::int64_t remote_writes = 0;  // write RPCs issued
-    std::int64_t name_cache_hits = 0;
-    std::int64_t name_cache_stale = 0;
-    std::int64_t writeback_bytes = 0;
-    std::int64_t recalls_served = 0;
-    std::int64_t cache_disables = 0;
-  };
-  const Stats& stats() const;
-  void reset_stats();
-
  private:
   struct CacheBlock {
     Bytes data;  // up to block_size bytes
@@ -363,7 +348,7 @@ class FsClient {
            std::list<std::pair<FileId, std::int64_t>>::iterator>
       lru_index_;
 
-  // Registry-backed metrics (trace/trace.h) and the legacy struct view.
+  // Registry-backed metrics (trace/trace.h).
   trace::Counter* c_cache_hit_;
   trace::Counter* c_cache_miss_;
   trace::Counter* c_remote_reads_;
@@ -380,7 +365,6 @@ class FsClient {
   trace::Counter* c_failover_reopens_;
   trace::Counter* c_rehomed_;
   trace::LatencyHistogram* h_failover_ms_;
-  mutable Stats stats_view_;
 };
 
 // Maximum bytes moved per FS data RPC (Sprite's fragmented RPC limit).

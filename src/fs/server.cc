@@ -70,34 +70,6 @@ FsServer::FsServer(sim::Simulator& sim, sim::Cpu& cpu, rpc::RpcNode& rpc,
   inodes_.emplace(root_, std::move(root));
 }
 
-const FsServer::Stats& FsServer::stats() const {
-  stats_view_.opens = c_opens_->value();
-  stats_view_.hinted_opens = c_hinted_opens_->value();
-  stats_view_.closes = c_closes_->value();
-  stats_view_.lookup_components = c_lookup_components_->value();
-  stats_view_.reads = c_reads_->value();
-  stats_view_.writes = c_writes_->value();
-  stats_view_.bytes_read = c_bytes_read_->value();
-  stats_view_.bytes_written = c_bytes_written_->value();
-  stats_view_.recalls = c_recalls_->value();
-  stats_view_.cache_disables = c_cache_disables_->value();
-  stats_view_.disk_accesses = c_disk_accesses_->value();
-  stats_view_.stream_migrations = c_stream_migrations_->value();
-  stats_view_.pipe_reads = c_pipe_reads_->value();
-  stats_view_.pipe_writes = c_pipe_writes_->value();
-  stats_view_.pipe_wakeups = c_pipe_wakeups_->value();
-  return stats_view_;
-}
-
-void FsServer::reset_stats() {
-  for (trace::Counter* c :
-       {c_opens_, c_hinted_opens_, c_closes_, c_lookup_components_, c_reads_,
-        c_writes_, c_bytes_read_, c_bytes_written_, c_recalls_,
-        c_cache_disables_, c_disk_accesses_, c_stream_migrations_,
-        c_pipe_reads_, c_pipe_writes_, c_pipe_wakeups_})
-    c->reset();
-}
-
 void FsServer::register_services() {
   rpc_.register_service(
       ServiceId::kFsName,

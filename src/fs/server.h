@@ -138,27 +138,6 @@ class FsServer {
   // returns the number of corrupt blocks found this pass.
   std::int64_t scrub_all_now();
 
-  // ---- Statistics (registry-backed; the struct is a refreshed view) ----
-  struct Stats {
-    std::int64_t opens = 0;
-    std::int64_t hinted_opens = 0;  // resolved via a client name-cache hint
-    std::int64_t closes = 0;
-    std::int64_t lookup_components = 0;
-    std::int64_t reads = 0;
-    std::int64_t writes = 0;
-    std::int64_t bytes_read = 0;
-    std::int64_t bytes_written = 0;
-    std::int64_t recalls = 0;
-    std::int64_t cache_disables = 0;
-    std::int64_t disk_accesses = 0;
-    std::int64_t stream_migrations = 0;
-    std::int64_t pipe_reads = 0;
-    std::int64_t pipe_writes = 0;
-    std::int64_t pipe_wakeups = 0;
-  };
-  const Stats& stats() const;
-  void reset_stats();
-
  private:
   struct HostUse {
     int readers = 0;
@@ -356,7 +335,7 @@ class FsServer {
            std::list<std::pair<Ino, std::int64_t>>::iterator>
       cached_;
 
-  // Registry-backed metrics (trace/trace.h) and the legacy struct view.
+  // Registry-backed metrics (trace/trace.h).
   trace::Counter* c_opens_;
   trace::Counter* c_hinted_opens_;
   trace::Counter* c_closes_;
@@ -390,7 +369,6 @@ class FsServer {
   trace::Counter* c_scrub_unrepairable_;
   trace::Counter* c_read_detected_;
   trace::Counter* c_nospace_;
-  mutable Stats stats_view_;
 };
 
 }  // namespace sprite::fs

@@ -169,16 +169,4 @@ int Facility::idle_count() {
   return n;
 }
 
-HostSelector::Stats Facility::aggregate_stats() const {
-  HostSelector::Stats agg;
-  for (const auto& [h, sel] : selectors_) {
-    const auto& s = sel->stats();
-    agg.requests += s.requests;
-    agg.hosts_granted += s.hosts_granted;
-    agg.empty_grants += s.empty_grants;
-    agg.bad_grants += s.bad_grants;
-  }
-  return agg;
-}
-
 }  // namespace sprite::ls

@@ -46,9 +46,6 @@ class Facility {
   // Number of workstations currently idle (ground truth).
   int idle_count();
 
-  // Aggregated selector stats across all workstations.
-  HostSelector::Stats aggregate_stats() const;
-
  private:
   // Crash/reboot recovery, registered with the cluster at construction. A
   // workstation crash wipes its node/selector soft state and tells every

@@ -26,15 +26,6 @@ LoadShareNode::LoadShareNode(kern::Host& host)
   c_offers_sent_ = &tr.counter("ls.offer.sent", host_.id());
 }
 
-const LoadShareNode::Stats& LoadShareNode::stats() const {
-  stats_view_.reserves_granted = c_reserves_granted_->value();
-  stats_view_.reserves_refused = c_reserves_refused_->value();
-  stats_view_.evictions_triggered = c_evictions_->value();
-  stats_view_.gossip_sent = c_gossip_sent_->value();
-  stats_view_.offers_sent = c_offers_sent_->value();
-  return stats_view_;
-}
-
 sim::HostId LoadShareNode::id() const { return host_.id(); }
 
 void LoadShareNode::register_services() {

@@ -73,16 +73,6 @@ class LoadShareNode {
   // reserved by a ghost forever.
   void peer_crashed(sim::HostId peer);
 
-  // Registry-backed (trace/trace.h); the struct is a refreshed view.
-  struct Stats {
-    std::int64_t reserves_granted = 0;
-    std::int64_t reserves_refused = 0;
-    std::int64_t evictions_triggered = 0;
-    std::int64_t gossip_sent = 0;
-    std::int64_t offers_sent = 0;
-  };
-  const Stats& stats() const;
-
  private:
   void handle_rpc(sim::HostId src, const rpc::Request& req,
                   std::function<void(rpc::Reply)> respond);
@@ -99,7 +89,7 @@ class LoadShareNode {
   std::function<void()> on_user_return_;
   bool evicting_ = false;
 
-  // Registry-backed metrics (trace/trace.h) and the legacy struct view.
+  // Registry-backed metrics (trace/trace.h).
   trace::Counter* c_reserves_granted_;
   trace::Counter* c_reserves_refused_;
   trace::Counter* c_evictions_;
@@ -108,7 +98,6 @@ class LoadShareNode {
   trace::Counter* c_crash_releases_;
   trace::Counter* c_gossip_sent_;
   trace::Counter* c_offers_sent_;
-  mutable Stats stats_view_;
 };
 
 }  // namespace sprite::ls

@@ -8,12 +8,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/ids.h"
 #include "sim/time.h"
 #include "trace/trace.h"
-#include "util/stats.h"
 
 namespace sprite::ls {
 
@@ -42,32 +42,14 @@ class HostSelector {
   // request reopens from scratch. Default: nothing cached.
   virtual void reset() {}
 
-  // Registry-backed (trace/trace.h); the struct is a refreshed view. The
-  // grant-latency distribution is kept locally (quantiles) and mirrored into
-  // a registry histogram when bound.
-  struct Stats {
-    std::int64_t requests = 0;
-    std::int64_t hosts_granted = 0;
-    std::int64_t empty_grants = 0;
-    // A granted host that was in fact not idle (stale information) — the
-    // failure mode distributed state suffers from.
-    std::int64_t bad_grants = 0;
-    util::Distribution grant_latency_ms;
-  };
-  const Stats& stats() const {
-    if (c_requests_) {
-      stats_view_.requests = c_requests_->value();
-      stats_view_.hosts_granted = c_granted_->value();
-      stats_view_.empty_grants = c_empty_->value();
-      stats_view_.bad_grants = c_bad_->value();
-    }
-    return stats_view_;
-  }
+  // Statistics live in the registry under `ls.select.*`, attributed to the
+  // requesting host: requested, host_granted, empty_grant, bad_grant (a
+  // granted host that was in fact not idle — the stale-information failure
+  // mode distributed state suffers from) and the grant_ms histogram.
 
  protected:
-  // Registers the selector's metrics under `ls.select.*`, attributed to the
-  // requesting host. Subclasses call this from their constructor; an unbound
-  // selector still counts into the plain struct.
+  // Registers the selector's metrics. Every subclass calls this from its
+  // constructor, before the first request.
   void bind_metrics(trace::Registry& tr, sim::HostId host) {
     reg_ = &tr;
     host_id_ = host;
@@ -79,29 +61,17 @@ class HostSelector {
                                trace::default_latency_bounds_ms(), host);
   }
 
-  void note_request() {
-    if (c_requests_) c_requests_->inc();
-    else ++stats_view_.requests;
-  }
+  void note_request() { c_requests_->inc(); }
   // One grant decision finished: `n` hosts after `ms` of selection latency.
   void note_grant_done(std::int64_t n, double ms) {
-    stats_view_.grant_latency_ms.add(ms);
-    if (c_granted_) {
-      c_granted_->inc(n);
-      if (n == 0) c_empty_->inc();
-      h_latency_->record(ms);
-      if (reg_->tracing())
-        reg_->instant("ls", n == 0 ? "grant empty" : "hosts granted",
-                      host_id_, -1, {{"count", std::to_string(n)}});
-    } else {
-      stats_view_.hosts_granted += n;
-      if (n == 0) ++stats_view_.empty_grants;
-    }
+    c_granted_->inc(n);
+    if (n == 0) c_empty_->inc();
+    h_latency_->record(ms);
+    if (reg_->tracing())
+      reg_->instant("ls", n == 0 ? "grant empty" : "hosts granted", host_id_,
+                    -1, {{"count", std::to_string(n)}});
   }
-  void note_bad_grant() {
-    if (c_bad_) c_bad_->inc();
-    else ++stats_view_.bad_grants;
-  }
+  void note_bad_grant() { c_bad_->inc(); }
 
  private:
   trace::Registry* reg_ = nullptr;
@@ -111,7 +81,6 @@ class HostSelector {
   trace::Counter* c_empty_ = nullptr;
   trace::Counter* c_bad_ = nullptr;
   trace::LatencyHistogram* h_latency_ = nullptr;
-  mutable Stats stats_view_;
 };
 
 }  // namespace sprite::ls

@@ -21,32 +21,6 @@ using sim::Time;
 using util::Err;
 using util::Status;
 
-const char* strategy_name(VmStrategy s) {
-  switch (s) {
-    case VmStrategy::kSpriteFlush: return "sprite-flush";
-    case VmStrategy::kWholeCopy: return "whole-copy";
-    case VmStrategy::kPreCopy: return "pre-copy";
-    case VmStrategy::kCopyOnRef: return "copy-on-reference";
-    case VmStrategy::kIterPreCopy: return "iter-pre-copy";
-    case VmStrategy::kPostCopy: return "post-copy";
-    case VmStrategy::kContentAddr: return "content-addressed";
-  }
-  return "?";
-}
-
-bool strategy_from_name(const std::string& name, VmStrategy* out) {
-  for (VmStrategy s :
-       {VmStrategy::kSpriteFlush, VmStrategy::kWholeCopy, VmStrategy::kPreCopy,
-        VmStrategy::kCopyOnRef, VmStrategy::kIterPreCopy, VmStrategy::kPostCopy,
-        VmStrategy::kContentAddr}) {
-    if (name == strategy_name(s)) {
-      *out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
 const char* mig_stage_name(MigStage s) {
   switch (s) {
     case MigStage::kInit: return "init";
@@ -58,23 +32,6 @@ const char* mig_stage_name(MigStage s) {
   }
   return "?";
 }
-
-namespace {
-
-xfer::Strategy to_engine_strategy(VmStrategy s) {
-  switch (s) {
-    case VmStrategy::kSpriteFlush: return xfer::Strategy::kFlush;
-    case VmStrategy::kWholeCopy: return xfer::Strategy::kWholeCopy;
-    case VmStrategy::kPreCopy: return xfer::Strategy::kPreCopyLegacy;
-    case VmStrategy::kCopyOnRef: return xfer::Strategy::kCopyOnRef;
-    case VmStrategy::kIterPreCopy: return xfer::Strategy::kIterPreCopy;
-    case VmStrategy::kPostCopy: return xfer::Strategy::kPostCopy;
-    case VmStrategy::kContentAddr: return xfer::Strategy::kContentAddr;
-  }
-  return xfer::Strategy::kFlush;
-}
-
-}  // namespace
 
 MigrationManager::MigrationManager(kern::Host& host)
     : host_(host), self_(host.id()), xfer_(host) {
@@ -98,15 +55,6 @@ MigrationManager::MigrationManager(kern::Host& host)
                               trace::default_latency_bounds_ms(), self_);
   h_freeze_ms_ = &tr.histogram("mig.migration.freeze_ms",
                                trace::default_latency_bounds_ms(), self_);
-}
-
-const MigrationManager::Stats& MigrationManager::stats() const {
-  stats_view_.out = c_out_->value();
-  stats_view_.in = c_in_->value();
-  stats_view_.failed = c_failed_->value();
-  stats_view_.evictions = c_evictions_->value();
-  stats_view_.cor_pages_served = c_cor_pages_->value();
-  return stats_view_;
 }
 
 void MigrationManager::note_success(const Outgoing& og) {
@@ -293,7 +241,7 @@ void MigrationManager::start_engine_transfer(std::uint64_t token) {
   og.via_engine = true;
 
   xfer::Engine::Params p;
-  p.strategy = to_engine_strategy(strategy_);
+  p.strategy = strategy_;
   p.pid = og.pcb->pid;
   p.space = og.pcb->space;
   p.target = og.target;

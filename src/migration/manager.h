@@ -62,19 +62,10 @@ class Host;
 
 namespace sprite::mig {
 
-enum class VmStrategy : int {
-  kSpriteFlush = 0,
-  kWholeCopy,
-  kPreCopy,
-  kCopyOnRef,
-  kIterPreCopy,
-  kPostCopy,
-  kContentAddr,
-};
-const char* strategy_name(VmStrategy s);
-// Inverse of strategy_name, for bench/test flags. Returns false on an
-// unknown name.
-bool strategy_from_name(const std::string& name, VmStrategy* out);
+// The strategy enum and its names live with the transfer engine.
+using xfer::strategy_from_name;
+using xfer::strategy_name;
+using xfer::VmStrategy;
 
 // How a migrated process's file kernel calls are handled (thesis §4.3.1):
 //   kTransferStreams — Sprite: streams move with the process and file calls
@@ -190,15 +181,7 @@ class MigrationManager : public proc::MigratorIface {
   // migration counterparts, copy-on-reference sources, residual owners.
   void collect_peer_interest(std::vector<sim::HostId>& out) const;
 
-  // ---- Statistics (registry-backed; the struct is a refreshed view) ----
-  struct Stats {
-    std::int64_t out = 0;           // successful migrations away
-    std::int64_t in = 0;            // successful migrations in
-    std::int64_t failed = 0;
-    std::int64_t evictions = 0;
-    std::int64_t cor_pages_served = 0;  // residual-dependency traffic
-  };
-  const Stats& stats() const;
+  // ---- Introspection ----
   const std::vector<MigrationRecord>& records() const { return records_; }
   const MigrationRecord& last_record() const;
   // Residual dependencies currently held for copy-on-reference sources.
@@ -285,7 +268,7 @@ class MigrationManager : public proc::MigratorIface {
   // histograms once a migration completes.
   void note_success(const Outgoing& og);
 
-  // Registry-backed metrics (trace/trace.h) and the legacy struct view.
+  // Registry-backed metrics (trace/trace.h).
   trace::Counter* c_out_;
   trace::Counter* c_in_;
   trace::Counter* c_failed_;
@@ -294,7 +277,6 @@ class MigrationManager : public proc::MigratorIface {
   trace::Counter* c_cor_kills_;
   trace::LatencyHistogram* h_total_ms_;
   trace::LatencyHistogram* h_freeze_ms_;
-  mutable Stats stats_view_;
   std::vector<MigrationRecord> records_;
 };
 

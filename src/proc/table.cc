@@ -40,16 +40,6 @@ ProcTable::ProcTable(kern::Host& host) : host_(host), self_(host.id()) {
   c_foreign_cpu_us_ = &tr.counter("proc.cpu.foreign_us", self_);
 }
 
-const ProcTable::Stats& ProcTable::stats() const {
-  stats_view_.spawns = c_spawns_->value();
-  stats_view_.forks = c_forks_->value();
-  stats_view_.execs = c_execs_->value();
-  stats_view_.exits = c_exits_->value();
-  stats_view_.syscalls = c_syscalls_->value();
-  stats_view_.forwarded_calls = c_forwarded_->value();
-  return stats_view_;
-}
-
 void ProcTable::register_services() {
   host_.rpc().register_service(
       ServiceId::kProc,

@@ -105,17 +105,6 @@ class ProcTable {
   sim::HostId home_record_location(Pid pid) const;
   std::int64_t home_record_incarnation(Pid pid) const;
 
-  // Registry-backed (trace/trace.h); the struct is a refreshed view.
-  struct Stats {
-    std::int64_t spawns = 0;
-    std::int64_t forks = 0;
-    std::int64_t execs = 0;
-    std::int64_t exits = 0;
-    std::int64_t syscalls = 0;
-    std::int64_t forwarded_calls = 0;  // executed via the home machine
-  };
-  const Stats& stats() const;
-
   // ---- Hooks for the migration module ----
   // Suspends the process at its next safe point (immediately if computing —
   // the remaining burst is carried — or when the in-flight kernel call
@@ -254,7 +243,7 @@ class ProcTable {
   MigratorIface* migrator_ = nullptr;
   RestarterIface* restarter_ = nullptr;
 
-  // Registry-backed metrics (trace/trace.h) and the legacy struct view.
+  // Registry-backed metrics (trace/trace.h).
   trace::Counter* c_spawns_;
   trace::Counter* c_forks_;
   trace::Counter* c_execs_;
@@ -270,7 +259,6 @@ class ProcTable {
   // where the cycles were actually burned, including the served fraction of
   // a burst preempted by a further migration.
   trace::Counter* c_foreign_cpu_us_;
-  mutable Stats stats_view_;
 };
 
 }  // namespace sprite::proc

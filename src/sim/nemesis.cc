@@ -14,15 +14,6 @@ namespace sprite::sim {
 
 namespace {
 
-// Per-host metrics summed cluster-wide (plus the unscoped slot).
-std::int64_t sum_counter(const kern::Cluster& cluster,
-                         const trace::Registry& tr, const std::string& name) {
-  std::int64_t total = tr.counter_value(name, kInvalidHost);
-  for (std::size_t h = 0; h < cluster.num_hosts(); ++h)
-    total += tr.counter_value(name, static_cast<HostId>(h));
-  return total;
-}
-
 std::string checker_path(int file) {
   return "/nemesis/f" + std::to_string(file);
 }
@@ -385,22 +376,16 @@ NemesisReport NemesisHarness::finish() {
   report_.audit = wl::audit_incarnations(*cluster_, engine_->jobs());
 
   const trace::Registry& tr = cluster_->sim().trace();
-  report_.crashes = sum_counter(*cluster_, tr, "fault.crash.injected");
-  report_.corruptions_injected =
-      sum_counter(*cluster_, tr, "fault.block.corrupted");
-  report_.writes_torn = sum_counter(*cluster_, tr, "fault.write.torn");
-  report_.frames_duplicated =
-      sum_counter(*cluster_, tr, "fault.message.duplicated");
-  report_.frames_reordered =
-      sum_counter(*cluster_, tr, "fault.message.reordered");
-  report_.scrub_repaired = sum_counter(*cluster_, tr, "fs.scrub.repaired");
-  report_.scrub_unrepairable =
-      sum_counter(*cluster_, tr, "fs.scrub.unrepairable");
-  report_.journal_replayed =
-      sum_counter(*cluster_, tr, "fs.journal.replayed");
-  report_.journal_discarded =
-      sum_counter(*cluster_, tr, "fs.journal.discarded");
-  report_.dedup_hits = sum_counter(*cluster_, tr, "rpc.dedup.hits");
+  report_.crashes = tr.counter_total("fault.crash.injected");
+  report_.corruptions_injected = tr.counter_total("fault.block.corrupted");
+  report_.writes_torn = tr.counter_total("fault.write.torn");
+  report_.frames_duplicated = tr.counter_total("fault.message.duplicated");
+  report_.frames_reordered = tr.counter_total("fault.message.reordered");
+  report_.scrub_repaired = tr.counter_total("fs.scrub.repaired");
+  report_.scrub_unrepairable = tr.counter_total("fs.scrub.unrepairable");
+  report_.journal_replayed = tr.counter_total("fs.journal.replayed");
+  report_.journal_discarded = tr.counter_total("fs.journal.discarded");
+  report_.dedup_hits = tr.counter_total("rpc.dedup.hits");
   return report_;
 }
 

@@ -94,12 +94,6 @@ void LatencyHistogram::record(double v) {
   sum_ += v;
 }
 
-void LatencyHistogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-}
-
 // ---------------------------------------------------------------------------
 // FlightRecorder
 // ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@
 //
 //   * Metrics — named counters, gauges, and fixed-bucket latency histograms,
 //     keyed by (name, host). Always on: they are plain integer/double work,
-//     and the legacy per-subsystem Stats structs are thin views over them.
+//     and the registry is the only store of subsystem statistics — code
+//     reads them back with counter_value() / counter_total(). Counters are
+//     never reset: the series sampler and SLO watchdog take deltas.
 //     Naming convention: `subsystem.noun.verb` ("fs.server.open",
 //     "mig.page.flushed").
 //
@@ -66,7 +68,6 @@ class Counter {
  public:
   void inc(std::int64_t n = 1) { v_ += n; }
   std::int64_t value() const { return v_; }
-  void reset() { v_ = 0; }
 
  private:
   std::int64_t v_ = 0;
@@ -77,7 +78,6 @@ class Gauge {
  public:
   void set(double v) { v_ = v; }
   double value() const { return v_; }
-  void reset() { v_ = 0.0; }
 
  private:
   double v_ = 0.0;
@@ -99,7 +99,6 @@ class LatencyHistogram {
   const std::vector<double>& bounds() const { return bounds_; }
   // i in [0, bounds().size()]; the last bucket is the overflow bucket.
   std::int64_t bucket(std::size_t i) const { return counts_[i]; }
-  void reset();
 
  private:
   std::vector<double> bounds_;

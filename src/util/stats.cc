@@ -53,41 +53,4 @@ double Distribution::quantile(double q) const {
   return xs_[rank];
 }
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  SPRITE_CHECK(!bounds_.empty());
-  for (std::size_t i = 1; i < bounds_.size(); ++i)
-    SPRITE_CHECK(bounds_[i - 1] < bounds_[i]);
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::add(double x) {
-  auto it = std::upper_bound(bounds_.begin(), bounds_.end(), x);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())]++;
-  ++total_;
-}
-
-std::string Histogram::ascii(int width) const {
-  std::int64_t maxc = 1;
-  for (auto c : counts_) maxc = std::max(maxc, c);
-  std::string out;
-  char buf[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (i == 0) {
-      std::snprintf(buf, sizeof buf, "%10s<%-8.3g ", "", bounds_[0]);
-    } else if (i == counts_.size() - 1) {
-      std::snprintf(buf, sizeof buf, "%10s>=%-7.3g ", "", bounds_.back());
-    } else {
-      std::snprintf(buf, sizeof buf, "%9.3g..%-8.3g ", bounds_[i - 1],
-                    bounds_[i]);
-    }
-    out += buf;
-    const int bar = static_cast<int>(counts_[i] * width / maxc);
-    out.append(static_cast<std::size_t>(bar), '#');
-    std::snprintf(buf, sizeof buf, " %lld\n",
-                  static_cast<long long>(counts_[i]));
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace sprite::util

@@ -51,22 +51,4 @@ class Distribution {
   mutable bool sorted_ = true;
 };
 
-// Fixed-boundary histogram for time-series style reporting.
-class Histogram {
- public:
-  // Buckets: [b0,b1), [b1,b2), ..., plus underflow/overflow.
-  explicit Histogram(std::vector<double> bounds);
-
-  void add(double x);
-  std::int64_t bucket_count(std::size_t i) const { return counts_[i]; }
-  std::size_t num_buckets() const { return counts_.size(); }
-  std::int64_t total() const { return total_; }
-  std::string ascii(int width = 40) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<std::int64_t> counts_;  // size bounds_.size() + 1
-  std::int64_t total_ = 0;
-};
-
 }  // namespace sprite::util

@@ -236,30 +236,6 @@ class VmManager {
   // migration, where the destination adopts the same backing files.
   void release_space(SpacePtr space, StatusCb cb);
 
-  // ---- Statistics (registry-backed; the struct is a refreshed view) ----
-  struct Stats {
-    std::int64_t faults = 0;
-    std::int64_t pages_in = 0;        // pages read from backing
-    std::int64_t pages_zero_fill = 0;
-    std::int64_t pages_flushed = 0;
-    std::int64_t pages_from_remote = 0;  // copy-on-reference pulls
-  };
-  const Stats& stats() const {
-    stats_view_.faults = c_faults_->value();
-    stats_view_.pages_in = c_pages_in_->value();
-    stats_view_.pages_zero_fill = c_zero_fill_->value();
-    stats_view_.pages_flushed = c_flushed_->value();
-    stats_view_.pages_from_remote = c_from_remote_->value();
-    return stats_view_;
-  }
-  void reset_stats() {
-    c_faults_->reset();
-    c_pages_in_->reset();
-    c_zero_fill_->reset();
-    c_flushed_->reset();
-    c_from_remote_->reset();
-  }
-
  private:
   // Pages in the missing pages of one run, then continues.
   void fault_runs(SpacePtr space, Segment seg,
@@ -279,13 +255,12 @@ class VmManager {
   std::int64_t next_asid_ = 1;
   std::map<std::int64_t, RemotePager> remote_pagers_;  // by asid
 
-  // Registry-backed metrics (trace/trace.h) and the legacy struct view.
+  // Registry-backed metrics (trace/trace.h).
   trace::Counter* c_faults_;
   trace::Counter* c_pages_in_;
   trace::Counter* c_zero_fill_;
   trace::Counter* c_flushed_;
   trace::Counter* c_from_remote_;
-  mutable Stats stats_view_;
 };
 
 }  // namespace sprite::vm

@@ -13,19 +13,6 @@ namespace sprite::wl {
 using sim::HostId;
 using sim::Time;
 
-namespace {
-
-// Per-host metrics summed cluster-wide (plus the unscoped slot).
-std::int64_t sum_counter(const kern::Cluster& cluster,
-                         const trace::Registry& tr, const std::string& name) {
-  std::int64_t total = tr.counter_value(name, sim::kInvalidHost);
-  for (std::size_t h = 0; h < cluster.num_hosts(); ++h)
-    total += tr.counter_value(name, static_cast<HostId>(h));
-  return total;
-}
-
-}  // namespace
-
 SoakHarness::SoakHarness(SoakOptions opts) : opts_(opts) {
   kern::Cluster::Config cfg;
   cfg.num_workstations = opts_.workstations;
@@ -192,10 +179,9 @@ SoakReport SoakHarness::finish() {
   r.workload = engine_->summary();
   r.audit = audit_incarnations(*cluster_, engine_->jobs());
 
-  r.foreign_cpu_s = static_cast<double>(sum_counter(
-                        *cluster_, cluster_->sim().trace(),
-                        "proc.cpu.foreign_us")) /
-                    1e6;
+  const trace::Registry& tr = cluster_->sim().trace();
+  r.foreign_cpu_s =
+      static_cast<double>(tr.counter_total("proc.cpu.foreign_us")) / 1e6;
   for (std::size_t h = 0; h < cluster_->num_hosts(); ++h)
     r.total_user_cpu_s += cluster_->host(static_cast<HostId>(h))
                               .cpu()
@@ -205,7 +191,6 @@ SoakReport SoakHarness::finish() {
       r.total_user_cpu_s > 0.0 ? r.foreign_cpu_s / r.total_user_cpu_s : 0.0;
   g_util_recovered_->set(r.utilization_recovered);
 
-  const trace::Registry& tr = cluster_->sim().trace();
   for (HostId w : cluster_->workstations())
     r.evictions += tr.counter_value("ls.eviction.triggered", w);
   const auto ws = cluster_->workstations();
@@ -218,20 +203,20 @@ SoakReport SoakHarness::finish() {
                          static_cast<double>(samples_)
                    : 0.0;
 
-  r.crashes = sum_counter(*cluster_, tr, "fault.crash.injected");
-  r.reboots = sum_counter(*cluster_, tr, "fault.reboot.injected");
-  r.links_cut = sum_counter(*cluster_, tr, "fault.link.cut");
-  r.checkpoints = sum_counter(*cluster_, tr, "ckpt.capture.completed");
-  r.restarts = sum_counter(*cluster_, tr, "ckpt.restart.completed");
-  r.evicted_processes = sum_counter(*cluster_, tr, "mig.eviction.completed");
+  r.crashes = tr.counter_total("fault.crash.injected");
+  r.reboots = tr.counter_total("fault.reboot.injected");
+  r.links_cut = tr.counter_total("fault.link.cut");
+  r.checkpoints = tr.counter_total("ckpt.capture.completed");
+  r.restarts = tr.counter_total("ckpt.restart.completed");
+  r.evicted_processes = tr.counter_total("mig.eviction.completed");
 
   // Failover accounting: promotions land at the replica hosts, the client
   // counters at every host that runs an FsClient, so sum cluster-wide.
-  r.fs_promotions = sum_counter(*cluster_, tr, "fs.failover.promotions");
-  r.fs_reroutes = sum_counter(*cluster_, tr, "fs.failover.reroutes");
-  r.fs_reopens = sum_counter(*cluster_, tr, "fs.failover.reopens");
-  r.fs_rehomed_blocks = sum_counter(*cluster_, tr, "fs.failover.rehomed_blocks");
-  r.fs_dirty_lost = sum_counter(*cluster_, tr, "fs.cache.dirty_lost");
+  r.fs_promotions = tr.counter_total("fs.failover.promotions");
+  r.fs_reroutes = tr.counter_total("fs.failover.reroutes");
+  r.fs_reopens = tr.counter_total("fs.failover.reopens");
+  r.fs_rehomed_blocks = tr.counter_total("fs.failover.rehomed_blocks");
+  r.fs_dirty_lost = tr.counter_total("fs.cache.dirty_lost");
   std::vector<HostId> all_hosts;
   for (std::size_t h = 0; h < cluster_->num_hosts(); ++h)
     all_hosts.push_back(static_cast<HostId>(h));

@@ -25,17 +25,30 @@ std::int64_t space_remote_pages(const vm::SpacePtr& space) {
 }
 }  // namespace
 
-const char* xfer_strategy_name(Strategy s) {
+const char* strategy_name(VmStrategy s) {
   switch (s) {
-    case Strategy::kFlush: return "flush";
-    case Strategy::kWholeCopy: return "whole-copy";
-    case Strategy::kPreCopyLegacy: return "pre-copy";
-    case Strategy::kCopyOnRef: return "copy-on-reference";
-    case Strategy::kIterPreCopy: return "iter-pre-copy";
-    case Strategy::kPostCopy: return "post-copy";
-    case Strategy::kContentAddr: return "content-addressed";
+    case VmStrategy::kSpriteFlush: return "sprite-flush";
+    case VmStrategy::kWholeCopy: return "whole-copy";
+    case VmStrategy::kPreCopy: return "pre-copy";
+    case VmStrategy::kCopyOnRef: return "copy-on-reference";
+    case VmStrategy::kIterPreCopy: return "iter-pre-copy";
+    case VmStrategy::kPostCopy: return "post-copy";
+    case VmStrategy::kContentAddr: return "content-addressed";
   }
   return "?";
+}
+
+bool strategy_from_name(const std::string& name, VmStrategy* out) {
+  for (VmStrategy s :
+       {VmStrategy::kSpriteFlush, VmStrategy::kWholeCopy, VmStrategy::kPreCopy,
+        VmStrategy::kCopyOnRef, VmStrategy::kIterPreCopy, VmStrategy::kPostCopy,
+        VmStrategy::kContentAddr}) {
+    if (name == strategy_name(s)) {
+      *out = s;
+      return true;
+    }
+  }
+  return false;
 }
 
 Engine::Engine(kern::Host& host)
@@ -71,8 +84,8 @@ void Engine::register_services() {
 
 void Engine::record_downtime_ms(double ms) { h_downtime_ms_->record(ms); }
 
-PrecopyTuning Engine::tuning_for(Strategy s) const {
-  if (s == Strategy::kPreCopyLegacy)
+PrecopyTuning Engine::tuning_for(VmStrategy s) const {
+  if (s == VmStrategy::kPreCopy)
     return PrecopyTuning{4, 32, Time::zero()};  // the paper's fixed tuning
   const sim::Costs& c = host_.cluster().costs();
   return PrecopyTuning{c.xfer_max_rounds, c.xfer_stop_pages,
@@ -103,12 +116,12 @@ void Engine::transfer(Params p, DoneFn done) {
   SPRITE_CHECK(inserted);
 
   host_.cluster().sim().trace().flight_note(
-      "xfer.start", xfer_strategy_name(it->second.p.strategy), self_,
+      "xfer.start", strategy_name(it->second.p.strategy), self_,
       static_cast<std::int64_t>(pid), it->second.p.target);
 
   switch (it->second.p.strategy) {
-    case Strategy::kPreCopyLegacy:
-    case Strategy::kIterPreCopy:
+    case VmStrategy::kPreCopy:
+    case VmStrategy::kIterPreCopy:
       // Rounds run while the process keeps executing; the freeze comes at
       // convergence.
       precopy_round(pid);
@@ -285,7 +298,7 @@ void Engine::run_frozen(Pid pid) {
   vm::SpacePtr space = s.p.space;
 
   switch (s.p.strategy) {
-    case Strategy::kFlush: {
+    case VmStrategy::kSpriteFlush: {
       s.res.pages_flushed = space->dirty_pages();
       host_.vm().flush_dirty(space, [this, pid, space](Status st) {
         if (!st.is_ok()) return finish_error(pid, st);
@@ -297,7 +310,7 @@ void Engine::run_frozen(Pid pid) {
       });
       return;
     }
-    case Strategy::kWholeCopy: {
+    case VmStrategy::kWholeCopy: {
       const std::int64_t pages = space->resident_pages();
       s.res.pages_moved = pages;
       s.res.round_pages.push_back(pages);
@@ -310,12 +323,12 @@ void Engine::run_frozen(Pid pid) {
       });
       return;
     }
-    case Strategy::kContentAddr: {
+    case VmStrategy::kContentAddr: {
       content_transfer(pid);
       return;
     }
-    case Strategy::kCopyOnRef:
-    case Strategy::kPostCopy: {
+    case VmStrategy::kCopyOnRef:
+    case VmStrategy::kPostCopy: {
       // Ship only page tables; previously-resident pages become remote on
       // the target, and the source keeps the image to serve pulls (the
       // residual dependency). Post-copy additionally arms a push session
@@ -329,7 +342,7 @@ void Engine::run_frozen(Pid pid) {
       }
       s.res.desc = std::move(desc);
       s.res.cor_source_resident = true;
-      if (s.p.strategy == Strategy::kPostCopy) {
+      if (s.p.strategy == VmStrategy::kPostCopy) {
         s.res.postcopy_push = true;
         Push push;
         push.pid = pid;
@@ -347,8 +360,8 @@ void Engine::run_frozen(Pid pid) {
       finish_ok(pid);
       return;
     }
-    case Strategy::kPreCopyLegacy:
-    case Strategy::kIterPreCopy:
+    case VmStrategy::kPreCopy:
+    case VmStrategy::kIterPreCopy:
       break;  // handled by precopy_round
   }
   SPRITE_UNREACHABLE("unknown transfer strategy");

@@ -32,6 +32,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "proc/pcb.h"
@@ -47,16 +48,22 @@ class Host;
 
 namespace sprite::xfer {
 
-enum class Strategy : int {
-  kFlush = 0,      // Sprite: flush dirty pages, target demand-pages
-  kWholeCopy,      // Charlotte/LOCUS: whole resident image while frozen
-  kPreCopyLegacy,  // V System: fixed-tuning rounds (adapter over iterative)
-  kCopyOnRef,      // Accent: tables only, pull on reference
-  kIterPreCopy,    // multi-round pre-copy with convergence control
-  kPostCopy,       // copy-on-reference + background push
-  kContentAddr,    // content-id dedup against the target's cache
+// The VM-transfer strategy of a migration; mig::MigrationManager selects
+// one per host and hands it to the engine unchanged.
+enum class VmStrategy : int {
+  kSpriteFlush = 0,  // Sprite: flush dirty pages, target demand-pages
+  kWholeCopy,        // Charlotte/LOCUS: whole resident image while frozen
+  kPreCopy,          // V System: fixed-tuning rounds (adapter over iterative)
+  kCopyOnRef,        // Accent: tables only, pull on reference
+  kIterPreCopy,      // multi-round pre-copy with convergence control
+  kPostCopy,         // copy-on-reference + background push
+  kContentAddr,      // content-id dedup against the target's cache
 };
-const char* xfer_strategy_name(Strategy s);
+// "sprite-flush", "whole-copy", ... — the --vm-strategy spellings.
+const char* strategy_name(VmStrategy s);
+// Inverse of strategy_name, for bench/test flags. Returns false on an
+// unknown name.
+bool strategy_from_name(const std::string& name, VmStrategy* out);
 
 // Convergence control for the pre-copy family. Rounds stop (freeze + final
 // set) when pages <= stop_pages, pages no longer shrink, round hits
@@ -86,7 +93,7 @@ class Engine {
   using DoneFn = std::function<void(util::Result<Result>)>;
 
   struct Params {
-    Strategy strategy = Strategy::kFlush;
+    VmStrategy strategy = VmStrategy::kSpriteFlush;
     proc::Pid pid = proc::kInvalidPid;
     vm::SpacePtr space;
     sim::HostId target = sim::kInvalidHost;
@@ -220,7 +227,7 @@ class Engine {
   void handle_rpc(sim::HostId src, const rpc::Request& req,
                   std::function<void(rpc::Reply)> respond);
 
-  PrecopyTuning tuning_for(Strategy s) const;
+  PrecopyTuning tuning_for(VmStrategy s) const;
 
   kern::Host& host_;
   sim::HostId self_;

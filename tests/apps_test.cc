@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "apps/pmake.h"
-#include "apps/workload.h"
 #include "kern/cluster.h"
 #include "loadshare/facility.h"
 #include "sim/time.h"
+#include "workload/activity.h"
+#include "workload/policy.h"
+#include "workload/session.h"
 
 namespace sprite::apps {
 namespace {
@@ -14,6 +16,9 @@ namespace {
 using kern::Cluster;
 using sim::HostId;
 using sim::Time;
+using wl::PolicyWorkload;
+using wl::UserActivityModel;
+using wl::ZhouLifetimes;
 
 Pmake::Result run_pmake(Cluster& cluster, ls::Facility* facility,
                         std::vector<Target> targets, int max_jobs) {

@@ -180,11 +180,12 @@ TEST(CkptTest, IncrementalCapturesOnlyDirtyPages) {
   cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
 
   auto& ck = cluster.host(ws).ckpt();
+  const trace::Registry& tr = cluster.sim().trace();
   ASSERT_TRUE(checkpoint_now(cluster, ws, pid).is_ok());
-  const auto s1 = ck.stats();
-  EXPECT_EQ(s1.captures, 1);
-  EXPECT_EQ(s1.full_bases, 1);
-  EXPECT_GE(s1.pages_captured, 64);  // the 64 touched pages at least
+  EXPECT_EQ(tr.counter_value("ckpt.capture.completed", ws), 1);
+  EXPECT_EQ(tr.counter_value("ckpt.capture.full_base", ws), 1);
+  const auto pages1 = tr.counter_value("ckpt.page.captured", ws);
+  EXPECT_GE(pages1, 64);  // the 64 touched pages at least
   EXPECT_EQ(ck.chain_length(pid), 1);
   EXPECT_EQ(ck.last_seq(pid), 1);
 
@@ -192,10 +193,10 @@ TEST(CkptTest, IncrementalCapturesOnlyDirtyPages) {
   // increment whose size tracks the dirty set — not the 64-page image.
   cluster.sim().run_until(cluster.sim().now() + Time::sec(5.5e0));
   ASSERT_TRUE(checkpoint_now(cluster, ws, pid).is_ok());
-  const auto s2 = ck.stats();
-  EXPECT_EQ(s2.captures, 2);
-  EXPECT_EQ(s2.incrementals, 1);
-  const std::int64_t incr_pages = s2.pages_captured - s1.pages_captured;
+  EXPECT_EQ(tr.counter_value("ckpt.capture.completed", ws), 2);
+  EXPECT_EQ(tr.counter_value("ckpt.capture.incremental", ws), 1);
+  const std::int64_t incr_pages =
+      tr.counter_value("ckpt.page.captured", ws) - pages1;
   EXPECT_GE(incr_pages, 4);
   EXPECT_LE(incr_pages, 8) << "increment captured far more than the dirty set";
   EXPECT_EQ(ck.chain_length(pid), 2);
@@ -228,11 +229,11 @@ TEST(CkptTest, ChainCompactsAfterMaxIncrements) {
     ASSERT_TRUE(checkpoint_now(cluster, ws, pid).is_ok()) << "capture " << i;
   }
   cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
-  const auto st = ck.stats();
-  EXPECT_EQ(st.captures, 4);
-  EXPECT_EQ(st.full_bases, 2);
-  EXPECT_EQ(st.incrementals, 2);
-  EXPECT_EQ(st.compactions, 1);
+  const trace::Registry& tr = cluster.sim().trace();
+  EXPECT_EQ(tr.counter_value("ckpt.capture.completed", ws), 4);
+  EXPECT_EQ(tr.counter_value("ckpt.capture.full_base", ws), 2);
+  EXPECT_EQ(tr.counter_value("ckpt.capture.incremental", ws), 2);
+  EXPECT_EQ(tr.counter_value("ckpt.chain.compacted", ws), 1);
   EXPECT_EQ(ck.chain_length(pid), 1);  // fresh base only
   EXPECT_EQ(ck.last_seq(pid), 4);     // seq numbers stay monotonic
 
@@ -256,11 +257,49 @@ TEST(CkptTest, DeclinesPipesAndKeepsProcessRunning) {
 
   const Status st = checkpoint_now(cluster, ws, pid);
   EXPECT_EQ(st.err(), Err::kNotMigratable) << st.to_string();
-  EXPECT_EQ(cluster.host(ws).ckpt().stats().declined, 1);
+  EXPECT_EQ(cluster.sim().trace().counter_value("ckpt.capture.declined", ws),
+            1);
   // The decline must not leave the process frozen.
   auto pcb = cluster.host(ws).procs().find(pid);
   ASSERT_TRUE(pcb != nullptr);
   EXPECT_NE(pcb->state, proc::ProcState::kFrozen);
+}
+
+// The process is reaped while its capture is in flight. Reaped after the
+// output-commit flush, the capture still has its CPU job and chain reads
+// ahead: by the time it plans the image the address space is gone, and it
+// must fail instead of reading it. Reaped after the meta write, only the
+// head commit is left: the image is durable and the capture commits, with no
+// space left to clear.
+TEST(CkptTest, CaptureSurvivesProcessReapedMidway) {
+  for (const CkptStage stage : {CkptStage::kFlushed, CkptStage::kMetaWritten}) {
+    SCOPED_TRACE(ckpt::ckpt_stage_name(stage));
+    Cluster cluster({.num_workstations = 2, .num_file_servers = 1, .seed = 1});
+    const HostId ws = cluster.workstations()[0];
+    ScriptBuilder b;
+    b.act(proc::Touch{vm::Segment::kHeap, 0, 8, true})
+        .compute(Time::sec(30))
+        .act(proc::SysExit{0});
+    ASSERT_TRUE(cluster.install_program("/bin/w", b.image(8, 8, 2)).is_ok());
+    const Pid pid = spawn_blocking(cluster, ws, "/bin/w");
+    cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
+
+    cluster.host(ws).ckpt().add_stage_observer([&](Pid p, CkptStage s) {
+      if (p == pid && s == stage)
+        cluster.host(ws).procs().reap_stale_incarnation(pid);
+    });
+    const Status st = checkpoint_now(cluster, ws, pid);
+    const trace::Registry& tr = cluster.sim().trace();
+    if (stage == CkptStage::kFlushed) {
+      EXPECT_EQ(st.err(), Err::kSrch) << st.to_string();
+      EXPECT_EQ(tr.counter_value("ckpt.capture.failed", ws), 1);
+      EXPECT_EQ(tr.counter_value("ckpt.capture.completed", ws), 0);
+    } else {
+      EXPECT_TRUE(st.is_ok()) << st.to_string();
+      EXPECT_EQ(tr.counter_value("ckpt.capture.completed", ws), 1);
+    }
+    EXPECT_EQ(cluster.host(ws).procs().find(pid), nullptr);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -319,10 +358,7 @@ TEST(CkptTest, CheckpointedProcessSurvivesHostCrash) {
   EXPECT_TRUE(exited) << "checkpointed process never finished";
   EXPECT_EQ(exit_status, 7) << "restart did not run to correct completion";
   // It finished on some surviving host via a restart, not at the grave.
-  std::int64_t restarts = 0;
-  for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h)
-    restarts += cluster.host(h).ckpt().stats().restarts;
-  EXPECT_EQ(restarts, 1);
+  EXPECT_EQ(cluster.sim().trace().counter_total("ckpt.restart.completed"), 1);
   EXPECT_FALSE(cluster.host(home).procs().home_record_alive(pid));
   // Output reflects the full run: the pre-crash write survived (it was
   // flushed by the capture) and the post-restart writes followed.
@@ -424,10 +460,7 @@ void run_fallback_scenario(
 
   EXPECT_TRUE(exited) << "process never finished after fallback restart";
   EXPECT_EQ(exit_status, 7);
-  std::int64_t restarts = 0;
-  for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h)
-    restarts += cluster.host(h).ckpt().stats().restarts;
-  EXPECT_EQ(restarts, 1);
+  EXPECT_EQ(cluster.sim().trace().counter_total("ckpt.restart.completed"), 1);
   auto* srv = cluster.file_server(0).fs_server();
   auto stat = srv->stat_path("/out");
   ASSERT_TRUE(stat.is_ok());
@@ -534,7 +567,8 @@ TEST(CkptTest, RestoreWithSupersededIncarnationIsRefused) {
   cluster.run_until_done([&] { return done; });
   EXPECT_EQ(st.err(), Err::kStale) << st.to_string();
   EXPECT_EQ(cluster.host(other).procs().find(pid), nullptr);
-  EXPECT_EQ(cluster.host(other).ckpt().stats().restarts_failed, 1);
+  EXPECT_EQ(
+      cluster.sim().trace().counter_value("ckpt.restart.failed", other), 1);
   // The original keeps running: exactly one incarnation.
   EXPECT_NE(cluster.host(runner).procs().find(pid), nullptr);
 }
@@ -571,15 +605,14 @@ TEST(CkptTest, EvictionByCheckpointDepartsAndRestartsElsewhere) {
   EXPECT_EQ(evicted, 1);
   // The frozen copy is gone from the owner's machine immediately.
   EXPECT_EQ(cluster.host(borrowed).procs().find(pid), nullptr);
-  EXPECT_EQ(cluster.host(borrowed).ckpt().stats().departs, 1);
+  EXPECT_EQ(
+      cluster.sim().trace().counter_value("ckpt.depart.completed", borrowed),
+      1);
 
   cluster.sim().run_until(cluster.sim().now() + Time::sec(60));
   EXPECT_TRUE(exited);
   EXPECT_EQ(exit_status, 5);
-  std::int64_t restarts = 0;
-  for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h)
-    restarts += cluster.host(h).ckpt().stats().restarts;
-  EXPECT_EQ(restarts, 1);
+  EXPECT_EQ(cluster.sim().trace().counter_total("ckpt.restart.completed"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -603,10 +636,12 @@ TEST(CkptTest, AutocheckpointCapturesOnIntervalAndDirtyThreshold) {
   const Pid pid = spawn_blocking(cluster, ws, "/bin/w");
   cluster.sim().run_until(cluster.sim().now() + Time::sec(28));
 
-  const auto st = ck.stats();
-  EXPECT_GE(st.auto_triggers, 2) << "daemon never triggered on interval";
-  EXPECT_GE(st.captures, 2);
-  EXPECT_GE(st.incrementals, 1) << "follow-up captures should be increments";
+  const trace::Registry& tr = cluster.sim().trace();
+  EXPECT_GE(tr.counter_value("ckpt.auto.triggered", ws), 2)
+      << "daemon never triggered on interval";
+  EXPECT_GE(tr.counter_value("ckpt.capture.completed", ws), 2);
+  EXPECT_GE(tr.counter_value("ckpt.capture.incremental", ws), 1)
+      << "follow-up captures should be increments";
   (void)pid;
 }
 
@@ -735,7 +770,8 @@ TEST(CkptTest, ChainStaysIncrementalAcrossMigration) {
   const Pid pid = spawn_blocking(cluster, home, "/bin/w");
   cluster.sim().run_until(cluster.sim().now() + Time::sec(1));
   ASSERT_TRUE(checkpoint_now(cluster, home, pid).is_ok());
-  EXPECT_EQ(cluster.host(home).ckpt().stats().full_bases, 1);
+  const trace::Registry& tr = cluster.sim().trace();
+  EXPECT_EQ(tr.counter_value("ckpt.capture.full_base", home), 1);
 
   // Move the process; the new host has no chain knowledge, but the head on
   // the shared FS does — its next capture must still be an increment.
@@ -744,8 +780,7 @@ TEST(CkptTest, ChainStaysIncrementalAcrossMigration) {
   EXPECT_EQ(cluster.host(home).ckpt().chain_length(pid), 0)
       << "source should forget the chain when the process departs";
   ASSERT_TRUE(checkpoint_now(cluster, second, pid).is_ok());
-  const auto st = cluster.host(second).ckpt().stats();
-  EXPECT_EQ(st.incrementals, 1)
+  EXPECT_EQ(tr.counter_value("ckpt.capture.incremental", second), 1)
       << "capture after migration restarted the chain instead of extending";
   EXPECT_EQ(cluster.host(second).ckpt().last_seq(pid), 2);
 }
@@ -833,10 +868,8 @@ TEST(CkptTest, CaptureRacingFileServerCrashRestartsFromSurvivingReplica) {
 
   EXPECT_TRUE(exited) << "process never finished after server+runner death";
   EXPECT_EQ(exit_status, 7);
-  std::int64_t restarts = 0;
-  for (HostId h = 0; h < static_cast<HostId>(cluster.num_hosts()); ++h)
-    restarts += cluster.host(h).ckpt().stats().restarts;
-  EXPECT_EQ(restarts, 1) << "expected exactly one restart incarnation";
+  EXPECT_EQ(cluster.sim().trace().counter_total("ckpt.restart.completed"), 1)
+      << "expected exactly one restart incarnation";
 
   // Output converged at the surviving replica: fixed-offset writes make the
   // replayed run idempotent.

@@ -227,7 +227,8 @@ TEST(VmReleaseTest, ReleasedSpaceCanBeReadoptedOnTheSameHost) {
     adopted = true;
   });
   cluster.run_until_done([&] { return adopted; });
-  vmm.reset_stats();
+  const trace::Registry& tr = cluster.sim().trace();
+  const auto in_before = tr.counter_value("vm.page.paged_in", 1);
   vmm.invalidate(again);
   bool refaulted = false;
   vmm.touch(again, vm::Segment::kHeap, 0, 16, false, [&](Status s) {
@@ -235,7 +236,7 @@ TEST(VmReleaseTest, ReleasedSpaceCanBeReadoptedOnTheSameHost) {
     refaulted = true;
   });
   cluster.run_until_done([&] { return refaulted; });
-  EXPECT_EQ(vmm.stats().pages_in, 16);
+  EXPECT_EQ(tr.counter_value("vm.page.paged_in", 1) - in_before, 16);
 }
 
 TEST(MigrationStatsTest, RecordsAccumulateAcrossMigrations) {
@@ -269,10 +270,11 @@ TEST(MigrationStatsTest, RecordsAccumulateAcrossMigrations) {
   migrate_now(w[1], w[2]);
   migrate_now(w[2], w[0]);
 
-  EXPECT_EQ(cluster.host(w[0]).mig().stats().out, 1);
-  EXPECT_EQ(cluster.host(w[0]).mig().stats().in, 1);
-  EXPECT_EQ(cluster.host(w[1]).mig().stats().out, 1);
-  EXPECT_EQ(cluster.host(w[1]).mig().stats().in, 1);
+  const trace::Registry& tr = cluster.sim().trace();
+  EXPECT_EQ(tr.counter_value("mig.out.completed", w[0]), 1);
+  EXPECT_EQ(tr.counter_value("mig.in.completed", w[0]), 1);
+  EXPECT_EQ(tr.counter_value("mig.out.completed", w[1]), 1);
+  EXPECT_EQ(tr.counter_value("mig.in.completed", w[1]), 1);
   EXPECT_EQ(cluster.host(w[2]).mig().records().size(), 1u);
 }
 

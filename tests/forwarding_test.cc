@@ -71,9 +71,8 @@ TEST(ForwardingModeTest, ForwardedFileCallsProduceIdenticalResults) {
   ASSERT_TRUE(cluster.migrate(pid, cluster.workstation(1)).is_ok());
 
   // The stream stayed home: no stream migration at the file server.
-  EXPECT_EQ(
-      cluster.kernel().file_server().fs_server()->stats().stream_migrations,
-      0);
+  EXPECT_EQ(cluster.sim().trace().counter_total("fs.server.stream.migrated"),
+            0);
   EXPECT_EQ(cluster.wait(pid), 0);  // the program verified its own data
 }
 

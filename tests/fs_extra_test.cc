@@ -47,6 +47,8 @@ class FsExtraTest : public ::testing::Test {
     return cluster_.workstations()[static_cast<std::size_t>(i)];
   }
   FsServer& server() { return *cluster_.file_server().fs_server(); }
+  sim::HostId server_id() { return cluster_.file_server().id(); }
+  const trace::Registry& tr() { return cluster_.sim().trace(); }
 
   Cluster cluster_;
 };
@@ -59,15 +61,17 @@ TEST_F(FsExtraTest, NameCacheSkipsServerLookups) {
 
   auto s1 = open_ok(ws(0), "/a/b/c/deep", OpenFlags::read_only());
   close_ok(ws(0), s1);
-  const auto lookups_after_first = server().stats().lookup_components;
+  const auto lookups_after_first =
+      tr().counter_value("fs.server.lookup.components", server_id());
   EXPECT_EQ(fs.name_cache_size(), 1u);
 
   auto s2 = open_ok(ws(0), "/a/b/c/deep", OpenFlags::read_only());
   close_ok(ws(0), s2);
-  EXPECT_EQ(server().stats().lookup_components, lookups_after_first)
+  EXPECT_EQ(tr().counter_value("fs.server.lookup.components", server_id()),
+            lookups_after_first)
       << "second open must resolve by hint, not by path";
-  EXPECT_EQ(server().stats().hinted_opens, 1);
-  EXPECT_GE(fs.stats().name_cache_hits, 1);
+  EXPECT_EQ(tr().counter_value("fs.server.open.hinted", server_id()), 1);
+  EXPECT_GE(tr().counter_value("fs.client.name_cache.hit", ws(0)), 1);
 }
 
 TEST_F(FsExtraTest, StaleNameCacheHintFallsBackTransparently) {
@@ -89,17 +93,20 @@ TEST_F(FsExtraTest, StaleNameCacheHintFallsBackTransparently) {
   // The cached hint names a reaped inode: the server detects it and falls
   // back to a full lookup on its own, so the open still succeeds and finds
   // the NEW file.
-  const auto hinted_before = server().stats().hinted_opens;
+  const auto hinted_before =
+      tr().counter_value("fs.server.open.hinted", server_id());
   auto s2 = open_ok(ws(0), "/victim", OpenFlags::read_only());
   ASSERT_TRUE(s2);
   EXPECT_EQ(s2->size_hint, 32);
-  EXPECT_EQ(server().stats().hinted_opens, hinted_before);
+  EXPECT_EQ(tr().counter_value("fs.server.open.hinted", server_id()),
+            hinted_before);
 
   // And the client's cache self-corrects: the next open hints the new inode.
   close_ok(ws(0), s2);
   auto s3 = open_ok(ws(0), "/victim", OpenFlags::read_only());
   ASSERT_TRUE(s3);
-  EXPECT_EQ(server().stats().hinted_opens, hinted_before + 1);
+  EXPECT_EQ(tr().counter_value("fs.server.open.hinted", server_id()),
+            hinted_before + 1);
 }
 
 TEST_F(FsExtraTest, NameCacheInvalidatedByLocalUnlink) {
@@ -205,8 +212,10 @@ TEST(FsMultiServerTest, PrefixesRouteToDistinctServersAndMigrationSpansThem) {
 
   // A stream on the second server migrates between workstations: the
   // I/O-server RPC goes to server 1, not server 0.
-  const auto migs_before =
-      cluster.file_server(1).fs_server()->stats().stream_migrations;
+  const trace::Registry& tr = cluster.sim().trace();
+  const sim::HostId srv0 = cluster.file_server(0).id();
+  const sim::HostId srv1 = cluster.file_server(1).id();
+  const auto migs_before = tr.counter_value("fs.server.stream.migrated", srv1);
   bool done = false;
   cluster.host(ws[0]).fs().export_stream(
       b, ws[1], false, [&](util::Result<ExportedStream> r) {
@@ -216,9 +225,9 @@ TEST(FsMultiServerTest, PrefixesRouteToDistinctServersAndMigrationSpansThem) {
         done = true;
       });
   cluster.run_until_done([&] { return done; });
-  EXPECT_EQ(cluster.file_server(1).fs_server()->stats().stream_migrations,
+  EXPECT_EQ(tr.counter_value("fs.server.stream.migrated", srv1),
             migs_before + 1);
-  EXPECT_EQ(cluster.file_server(0).fs_server()->stats().stream_migrations, 0);
+  EXPECT_EQ(tr.counter_value("fs.server.stream.migrated", srv0), 0);
 }
 
 }  // namespace

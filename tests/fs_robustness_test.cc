@@ -77,7 +77,7 @@ TEST(FsCapacityTest, ClientCacheEvictsUnderPressureWithoutDataLoss) {
   }
   // The cache respected its capacity: of the 64 blocks read back, only the
   // ~16 still resident after the write sweep could hit.
-  EXPECT_GE(cluster.host(1).fs().stats().cache_miss_blocks, 48);
+  EXPECT_GE(cluster.sim().trace().counter_value("fs.client.block.miss", 1), 48);
 }
 
 TEST(FsDelayedWriteTest, DirtyDataSurvivesCloseAndFlushesLater) {
@@ -119,21 +119,26 @@ TEST(FsDiskLatencyTest, ColdServerReadsPayDiskWarmOnesDoNot) {
   flags.no_cache = true;  // bypass the client cache: hit the server each time
   auto s = open_blocking(cluster, 1, "/cold", flags);
 
-  const auto disk_before = server->stats().disk_accesses;
+  const trace::Registry& tr = cluster.sim().trace();
+  const sim::HostId server_id = cluster.file_server().id();
+  const auto disk_before =
+      tr.counter_value("fs.server.disk.accessed", server_id);
   const Time t0 = cluster.sim().now();
   read_blocking(cluster, 1, s, 16 * 4096);
   const double cold_ms = (cluster.sim().now() - t0).ms();
-  EXPECT_GT(server->stats().disk_accesses, disk_before);
+  EXPECT_GT(tr.counter_value("fs.server.disk.accessed", server_id),
+            disk_before);
   // 16 blocks, mostly misses at 15 ms each: disk dominates.
   EXPECT_GT(cold_ms, 100.0);
 
   // A 4-block re-read fits the LRU tail and can be served warm.
   cluster.host(1).fs().seek(s, 12 * 4096);
-  const auto disk_mid = server->stats().disk_accesses;
+  const auto disk_mid = tr.counter_value("fs.server.disk.accessed", server_id);
   const Time t1 = cluster.sim().now();
   read_blocking(cluster, 1, s, 4 * 4096);
   const double warm_ms = (cluster.sim().now() - t1).ms();
-  EXPECT_EQ(server->stats().disk_accesses, disk_mid);  // all cached
+  EXPECT_EQ(tr.counter_value("fs.server.disk.accessed", server_id),
+            disk_mid);  // all cached
   EXPECT_LT(warm_ms, cold_ms / 4);
 }
 
@@ -199,11 +204,12 @@ TEST(FsWritebackCoalescingTest, FlushBatchesContiguousDirtyBlocks) {
                                done = true;
                              });
   cluster.run_until_done([&] { return done; });
-  const auto writes_before = cluster.host(1).fs().stats().remote_writes;
+  const trace::Registry& tr = cluster.sim().trace();
+  const auto writes_before = tr.counter_value("fs.client.write.sent", 1);
   done = false;
   cluster.host(1).fs().fsync(s, [&](Status) { done = true; });
   cluster.run_until_done([&] { return done; });
-  EXPECT_EQ(cluster.host(1).fs().stats().remote_writes - writes_before, 4);
+  EXPECT_EQ(tr.counter_value("fs.client.write.sent", 1) - writes_before, 4);
 }
 
 }  // namespace

@@ -96,6 +96,8 @@ class FsTest : public ::testing::Test {
   }
 
   FsServer& server() { return *cluster_.file_server().fs_server(); }
+  sim::HostId server_id() { return cluster_.file_server().id(); }
+  const trace::Registry& tr() { return cluster_.sim().trace(); }
   sim::HostId ws(int i) { return cluster_.workstations()[static_cast<std::size_t>(i)]; }
 
   Cluster cluster_;
@@ -136,7 +138,7 @@ TEST_F(FsTest, DataVisibleAcrossHostsAfterDelayedWriteRecall) {
   auto s1 = open_ok(ws(1), "/shared", OpenFlags::read_only());
   ASSERT_TRUE(s1);
   EXPECT_EQ(to_string(read_ok(ws(1), s1, 64)), "cached-data");
-  EXPECT_EQ(server().stats().recalls, 1);
+  EXPECT_EQ(tr().counter_value("fs.server.recall.sent", server_id()), 1);
   // The recall flushed host 0's cache.
   EXPECT_EQ(cluster_.host(ws(0)).fs().dirty_bytes(s0->file), 0);
 }
@@ -145,13 +147,12 @@ TEST_F(FsTest, RepeatedReadsHitClientCache) {
   server().create_file("/warm", 8192);
   auto s = open_ok(ws(0), "/warm", OpenFlags::read_only());
   read_ok(ws(0), s, 8192);
-  const auto misses_before =
-      cluster_.host(ws(0)).fs().stats().cache_miss_blocks;
+  const auto misses_before = tr().counter_value("fs.client.block.miss", ws(0));
   cluster_.host(ws(0)).fs().seek(s, 0);
   read_ok(ws(0), s, 8192);
-  const auto& st = cluster_.host(ws(0)).fs().stats();
-  EXPECT_EQ(st.cache_miss_blocks, misses_before);  // no new misses
-  EXPECT_GE(st.cache_hit_blocks, 2);
+  EXPECT_EQ(tr().counter_value("fs.client.block.miss", ws(0)),
+            misses_before);  // no new misses
+  EXPECT_GE(tr().counter_value("fs.client.block.hit", ws(0)), 2);
 }
 
 TEST_F(FsTest, DelayedWritebackReachesServerAfterDelay) {
@@ -184,10 +185,10 @@ TEST_F(FsTest, ConcurrentWriteSharingDisablesCaching) {
   ASSERT_TRUE(s1);
   EXPECT_FALSE(s1->cacheable);
   EXPECT_FALSE(server().is_cacheable(s0->file));
-  EXPECT_GE(server().stats().cache_disables, 1);
+  EXPECT_GE(tr().counter_value("fs.server.cache.disabled", server_id()), 1);
   // Run a little so host 0 processes its disable callback.
   cluster_.sim().run_until(cluster_.sim().now() + Time::msec(50));
-  EXPECT_GE(cluster_.host(ws(0)).fs().stats().cache_disables, 1);
+  EXPECT_GE(tr().counter_value("fs.client.cache.disabled", ws(0)), 1);
 }
 
 TEST_F(FsTest, UncachedWritesAreImmediatelyVisibleToOtherHost) {
@@ -327,11 +328,16 @@ TEST_F(FsTest, LookupCostScalesWithPathComponents) {
   server().mkdir_p("/a/b/c/d");
   server().create_file("/a/b/c/d/deep", 0);
   server().create_file("/flat", 0);
-  server().reset_stats();
+  const auto before =
+      tr().counter_value("fs.server.lookup.components", server_id());
   open_ok(ws(0), "/a/b/c/d/deep", OpenFlags::read_only());
-  EXPECT_EQ(server().stats().lookup_components, 5);
+  EXPECT_EQ(
+      tr().counter_value("fs.server.lookup.components", server_id()) - before,
+      5);
   open_ok(ws(0), "/flat", OpenFlags::read_only());
-  EXPECT_EQ(server().stats().lookup_components, 6);
+  EXPECT_EQ(
+      tr().counter_value("fs.server.lookup.components", server_id()) - before,
+      6);
 }
 
 TEST_F(FsTest, SharedOffsetMovesToServerAndStaysCoherent) {
@@ -380,7 +386,7 @@ TEST_F(FsTest, ExportFlushesDirtyDataSoDestinationSeesIt) {
       });
   cluster_.run_until_done([&] { return done; });
   EXPECT_EQ(cluster_.host(ws(0)).fs().dirty_bytes(s->file), 0);
-  EXPECT_EQ(server().stats().stream_migrations, 1);
+  EXPECT_EQ(tr().counter_value("fs.server.stream.migrated", server_id()), 1);
 
   auto s1 = cluster_.host(ws(1)).fs().import_stream(exported);
   EXPECT_EQ(s1->offset, 7);         // access position travelled with it
@@ -469,9 +475,10 @@ TEST_F(FsTest, NoCacheStreamsBypassClientCache) {
   flags.no_cache = true;
   auto s = open_ok(ws(0), "/swapfile", flags);
   read_ok(ws(0), s, 16 * 1024);
-  const auto& st = cluster_.host(ws(0)).fs().stats();
-  EXPECT_EQ(st.cache_hit_blocks + st.cache_miss_blocks, 0);
-  EXPECT_GE(st.remote_reads, 1);
+  EXPECT_EQ(tr().counter_value("fs.client.block.hit", ws(0)) +
+                tr().counter_value("fs.client.block.miss", ws(0)),
+            0);
+  EXPECT_GE(tr().counter_value("fs.client.read.sent", ws(0)), 1);
 }
 
 TEST_F(FsTest, BulkFlushRateNearCalibration) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/pmake.h"
-#include "apps/workload.h"
 #include "core/sprite.h"
 #include "migration/manager.h"
 
@@ -189,7 +188,10 @@ TEST(NameCacheIntegrationTest, PmakeWithNameCacheReducesServerWork) {
     Pmake build(cluster.kernel(), opt,
                 make_compile_graph(30, 10, Time::sec(2), Time::sec(1)));
     build.prepare();
-    cluster.kernel().file_server().fs_server()->reset_stats();
+    const trace::Registry& tr = cluster.sim().trace();
+    const sim::HostId server = cluster.kernel().file_server().id();
+    const auto lookups_before =
+        tr.counter_value("fs.server.lookup.components", server);
     bool done = false;
     Pmake::Result result;
     build.run([&](Pmake::Result r) {
@@ -199,7 +201,8 @@ TEST(NameCacheIntegrationTest, PmakeWithNameCacheReducesServerWork) {
     cluster.kernel().run_until_done([&] { return done; });
     return std::make_pair(
         result.makespan.s(),
-        cluster.kernel().file_server().fs_server()->stats().lookup_components);
+        tr.counter_value("fs.server.lookup.components", server) -
+            lookups_before);
   };
 
   auto [t_off, lookups_off] = run_build(false);

@@ -92,7 +92,7 @@ TEST_P(LoadShareTest, RequestGrantsOnlyActuallyIdleHosts) {
   for (HostId h : hosts) {
     EXPECT_NE(h, ws(0));  // never granted itself
   }
-  EXPECT_EQ(facility_.aggregate_stats().bad_grants, 0);
+  EXPECT_EQ(cluster_.sim().trace().counter_total("ls.select.bad_grant"), 0);
 }
 
 TEST_P(LoadShareTest, GrantedHostNotGrantedAgainUntilReleased) {
@@ -162,7 +162,9 @@ TEST_P(LoadShareTest, UserReturnEvictsForeignProcesses) {
   auto home_pcb = cluster_.host(ws(0)).procs().find(pid);
   ASSERT_TRUE(home_pcb != nullptr);
   EXPECT_FALSE(home_pcb->foreign());
-  EXPECT_GE(facility_.node(target).stats().evictions_triggered, 1);
+  EXPECT_GE(
+      cluster_.sim().trace().counter_value("ls.eviction.triggered", target),
+      1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -280,7 +282,8 @@ TEST(ProbabilisticTest, StaleVectorCausesRefusedReservations) {
   });
   cluster.run_until_done([&] { return done; });
   for (HostId h : got) EXPECT_NE(h, w[1]);  // the busy host refused
-  EXPECT_GE(facility.selector(w[0]).stats().bad_grants, 1);
+  EXPECT_GE(cluster.sim().trace().counter_value("ls.select.bad_grant", w[0]),
+            1);
 }
 
 TEST(MulticastTest, ConcurrentRequestersNeverShareAHost) {

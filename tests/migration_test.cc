@@ -138,8 +138,9 @@ TEST_F(MigrationTest, ExecTimeMigrationRunsOnTargetKeepsIdentity) {
                      " host=" + cluster_.host(ws(0)).name());
 
   // The work really did run on the target host.
-  EXPECT_EQ(cluster_.host(target).mig().stats().in, 1);
-  EXPECT_EQ(cluster_.host(ws(0)).mig().stats().out, 1);
+  const trace::Registry& tr = cluster_.sim().trace();
+  EXPECT_EQ(tr.counter_value("mig.in.completed", target), 1);
+  EXPECT_EQ(tr.counter_value("mig.out.completed", ws(0)), 1);
   const auto& rec = cluster_.host(ws(0)).mig().last_record();
   EXPECT_TRUE(rec.exec_time);
   EXPECT_EQ(rec.pages_moved, 0);
@@ -415,7 +416,7 @@ TEST_F(MigrationTest, TargetCrashMidTransferThawsProcessLocally) {
                        [&] { cluster_.net().set_host_up(ws(1), false); });
   cluster_.run_until_done([&] { return done; });
   EXPECT_FALSE(st.is_ok());
-  EXPECT_EQ(cluster_.host(ws(0)).mig().stats().failed, 1);
+  EXPECT_EQ(cluster_.sim().trace().counter_value("mig.out.failed", ws(0)), 1);
 
   // The process is still here and completes normally.
   EXPECT_EQ(wait_exit(0, pid), 5);
@@ -466,7 +467,8 @@ TEST_F(StrategyTest, SpriteFlushWritesDirtyPagesToServerAndDemandPages) {
                                     touched = true;
                                   });
   cluster_.run_until_done([&] { return touched; });
-  EXPECT_EQ(cluster_.host(ws(1)).vm().stats().pages_in, 256);
+  EXPECT_EQ(cluster_.sim().trace().counter_value("vm.page.paged_in", ws(1)),
+            256);
 }
 
 TEST_F(StrategyTest, WholeCopyFreezesForTheFullImage) {
@@ -506,8 +508,9 @@ TEST_F(StrategyTest, CopyOnReferenceResumesFastWithResidualDependency) {
                                     touched = true;
                                   });
   cluster_.run_until_done([&] { return touched; });
-  EXPECT_EQ(cluster_.host(ws(1)).vm().stats().pages_from_remote, 256);
-  EXPECT_EQ(cluster_.host(ws(0)).mig().stats().cor_pages_served, 256);
+  const trace::Registry& tr = cluster_.sim().trace();
+  EXPECT_EQ(tr.counter_value("vm.page.remote_pulled", ws(1)), 256);
+  EXPECT_EQ(tr.counter_value("mig.cor_page.served", ws(0)), 256);
 }
 
 TEST_F(StrategyTest, PreCopyShrinksFreezeTimeVersusWholeCopy) {

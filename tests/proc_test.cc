@@ -396,7 +396,8 @@ TEST_F(ProcTest, TouchDrivesVmFaults) {
       .exit(0);
   const Pid pid = spawn_ok(0, "tocher", b);
   EXPECT_EQ(wait_exit(0, pid), 0);
-  EXPECT_EQ(cluster_.host(ws(0)).vm().stats().pages_zero_fill, 8);
+  EXPECT_EQ(
+      cluster_.sim().trace().counter_value("vm.page.zero_filled", ws(0)), 8);
 }
 
 TEST_F(ProcTest, HomeRecordTracksLocation) {

@@ -10,14 +10,18 @@
 //   * every metric name in the final snapshot matches the
 //     `subsystem.noun.verb` convention.
 // A final sweep greps src/ for counter()/gauge()/histogram() registrations
-// so new metrics cannot drift from the convention unnoticed.
+// so new metrics cannot drift from the convention unnoticed, and checks that
+// every metric name tests, benches and examples read back by string is one
+// src/ registers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -315,34 +319,103 @@ TEST(TraceLintTest, SeededFaultCaseExportIsWellFormed) {
   lint_metric_names(tr);
 }
 
+// Every C++ source under `dir` (relative to the repository root), read
+// whole: path -> text.
+std::map<std::string, std::string> read_sources(const std::string& dir) {
+  const std::filesystem::path root =
+      std::filesystem::path(SPRITE_SOURCE_DIR) / dir;
+  std::map<std::string, std::string> out;
+  if (!std::filesystem::exists(root)) return out;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
+    if (!entry.is_regular_file()) continue;
+    const auto ext = entry.path().extension();
+    if (ext != ".cc" && ext != ".h" && ext != ".cpp") continue;
+    std::ifstream in(entry.path());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    out[entry.path().string()] = ss.str();
+  }
+  return out;
+}
+
+// First capture group of every match of `re` in `text`.
+std::vector<std::string> literal_args(const std::string& text,
+                                      const std::regex& re) {
+  std::vector<std::string> out;
+  for (std::sregex_iterator it(text.begin(), text.end(), re), end; it != end;
+       ++it)
+    out.push_back((*it)[1].str());
+  return out;
+}
+
+// counter("x.y.z") / gauge(...) / histogram(...): a literal registration.
+const std::regex& registration_re() {
+  static const std::regex re(
+      "(?:counter|gauge|histogram)\\(\\s*\"([^\"]+)\"");
+  return re;
+}
+
 // Source sweep: every counter()/gauge()/histogram() registration in src/
 // uses a literal name matching the convention. Catches drift at review
 // speed instead of at dashboard-breakage speed.
 TEST(TraceLintTest, RegisteredMetricNamesFollowConvention) {
-  const std::filesystem::path src =
-      std::filesystem::path(SPRITE_SOURCE_DIR) / "src";
-  ASSERT_TRUE(std::filesystem::exists(src));
-  static const std::regex reg(
-      "(?:counter|gauge|histogram)\\(\\s*\"([^\"]+)\"");
+  const auto sources = read_sources("src");
+  ASSERT_FALSE(sources.empty());
   int checked = 0;
-  for (const auto& entry : std::filesystem::recursive_directory_iterator(src)) {
-    if (!entry.is_regular_file()) continue;
-    const auto ext = entry.path().extension();
-    if (ext != ".cc" && ext != ".h") continue;
-    std::ifstream in(entry.path());
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    for (std::sregex_iterator it(text.begin(), text.end(), reg), end;
-         it != end; ++it) {
-      const std::string name = (*it)[1].str();
+  for (const auto& [path, text] : sources) {
+    for (const std::string& name : literal_args(text, registration_re())) {
       EXPECT_TRUE(metric_name_ok(name))
-          << entry.path().string() << ": metric '" << name
-          << "' violates subsystem.noun.verb";
+          << path << ": metric '" << name << "' violates subsystem.noun.verb";
       ++checked;
     }
   }
   EXPECT_GT(checked, 50) << "sweep found suspiciously few registrations";
+}
+
+// The registry is the only store of statistics, and counter_value() /
+// counter_total() / histogram_total() return 0 / empty for a name nobody
+// registered — so a misspelled name read back as a string would pass
+// silently. Every literal read under tests/, bench/ and examples/ must be a
+// name src/ registers, start with a prefix src/ registers dynamically
+// (`std::string("sim.engine.fired.") + label`), or be registered in the
+// reading file itself (the registry's own unit tests). Names under `no.such.`
+// are read on purpose, to check the never-registered case.
+TEST(TraceLintTest, MetricNamesReadByStringAreRegistered) {
+  std::set<std::string> registered;
+  std::vector<std::string> prefixes;
+  static const std::regex dynamic(
+      "(?:counter|gauge|histogram)\\(\\s*(?:std::string\\()?\"([^\"]+\\.)\"\\)?"
+      "\\s*\\+");
+  for (const auto& [path, text] : read_sources("src")) {
+    for (const std::string& name : literal_args(text, registration_re()))
+      registered.insert(name);
+    for (const std::string& prefix : literal_args(text, dynamic))
+      prefixes.push_back(prefix);
+  }
+  ASSERT_GT(registered.size(), 50u);
+  ASSERT_FALSE(prefixes.empty()) << "sim.engine.fired.* registration not found";
+
+  static const std::regex read(
+      "(?:counter_value|counter_total|histogram_total)\\(\\s*\"([^\"]+)\"");
+  int checked = 0;
+  for (const char* dir : {"tests", "bench", "examples"}) {
+    for (const auto& [path, text] : read_sources(dir)) {
+      const auto local = literal_args(text, registration_re());
+      for (const std::string& name : literal_args(text, read)) {
+        ++checked;
+        if (registered.count(name) || name.rfind("no.such.", 0) == 0) continue;
+        if (std::find(local.begin(), local.end(), name) != local.end())
+          continue;
+        bool dynamic_ok = false;
+        for (const std::string& p : prefixes)
+          dynamic_ok = dynamic_ok || name.rfind(p, 0) == 0;
+        EXPECT_TRUE(dynamic_ok)
+            << path << ": reads metric '" << name
+            << "', which nothing in src/ registers (misspelled?)";
+      }
+    }
+  }
+  EXPECT_GT(checked, 50) << "sweep found suspiciously few metric reads";
 }
 
 // Checkpoint metric inventory: every ckpt.* name the subsystem documents

@@ -264,11 +264,6 @@ TEST(TraceIntegrationTest, CountersAccumulateDuringRun) {
   EXPECT_GE(tr.counter_value("proc.process.spawned", ws0), 1);
   EXPECT_GT(tr.counter_value("rpc.call.started", ws0), 0);
   EXPECT_GT(tr.counter_value("vm.page.flushed", ws0), 0);
-  // The legacy Stats views are backed by the same counters.
-  EXPECT_EQ(cluster.host(ws0).mig().stats().out,
-            tr.counter_value("mig.out.completed", ws0));
-  EXPECT_EQ(cluster.host(ws0).procs().stats().spawns,
-            tr.counter_value("proc.process.spawned", ws0));
   // No tracing requested: the metrics came for free, no events recorded.
   EXPECT_TRUE(tr.events().empty());
 }

@@ -130,21 +130,6 @@ TEST(Distribution, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(d.median(), 0.0);
 }
 
-TEST(Histogram, BucketsAndAscii) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.add(0.5);    // underflow
-  h.add(5.0);    // [1,10)
-  h.add(50.0);   // [10,100)
-  h.add(500.0);  // overflow
-  h.add(10.0);   // [10,100): boundary goes right
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_EQ(h.bucket_count(0), 1);
-  EXPECT_EQ(h.bucket_count(1), 1);
-  EXPECT_EQ(h.bucket_count(2), 2);
-  EXPECT_EQ(h.bucket_count(3), 1);
-  EXPECT_FALSE(h.ascii().empty());
-}
-
 TEST(Table, FormatsAlignedGrid) {
   Table t({"host", "load"});
   t.add_row({"ws0", Table::num(0.25)});

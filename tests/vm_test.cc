@@ -24,6 +24,8 @@ class VmTest : public ::testing::Test {
     SPRITE_CHECK(r.is_ok());
   }
 
+  const trace::Registry& tr() { return cluster_.sim().trace(); }
+
   SpacePtr create_ok(sim::HostId h, std::int64_t code, std::int64_t heap,
                      std::int64_t stack) {
     util::Result<SpacePtr> out(Err::kAgain);
@@ -90,19 +92,17 @@ TEST_F(VmTest, MissingExecutableFailsCreation) {
 
 TEST_F(VmTest, CodeFaultsReadFromExecutable) {
   auto sp = create_ok(ws(0), 16, 4, 4);
-  auto& vmm = cluster_.host(ws(0)).vm();
   EXPECT_TRUE(touch_s(ws(0), sp, Segment::kCode, 0, 16, false).is_ok());
   EXPECT_EQ(sp->segment(Segment::kCode).resident_pages(), 16);
-  EXPECT_EQ(vmm.stats().pages_in, 16);
-  EXPECT_EQ(vmm.stats().pages_zero_fill, 0);
+  EXPECT_EQ(tr().counter_value("vm.page.paged_in", ws(0)), 16);
+  EXPECT_EQ(tr().counter_value("vm.page.zero_filled", ws(0)), 0);
 }
 
 TEST_F(VmTest, HeapFirstTouchIsZeroFill) {
   auto sp = create_ok(ws(0), 4, 32, 4);
-  auto& vmm = cluster_.host(ws(0)).vm();
   EXPECT_TRUE(touch_s(ws(0), sp, Segment::kHeap, 0, 32, true).is_ok());
-  EXPECT_EQ(vmm.stats().pages_zero_fill, 32);
-  EXPECT_EQ(vmm.stats().pages_in, 0);
+  EXPECT_EQ(tr().counter_value("vm.page.zero_filled", ws(0)), 32);
+  EXPECT_EQ(tr().counter_value("vm.page.paged_in", ws(0)), 0);
   EXPECT_EQ(sp->segment(Segment::kHeap).dirty_pages(), 32);
 }
 
@@ -120,19 +120,17 @@ TEST_F(VmTest, TouchOutOfBoundsRejected) {
 
 TEST_F(VmTest, RepeatedTouchFaultsOnlyOnce) {
   auto sp = create_ok(ws(0), 8, 8, 8);
-  auto& vmm = cluster_.host(ws(0)).vm();
   touch_s(ws(0), sp, Segment::kCode, 0, 8, false);
-  const auto faults = vmm.stats().faults;
+  const auto faults = tr().counter_value("vm.page.faulted", ws(0));
   touch_s(ws(0), sp, Segment::kCode, 0, 8, false);
-  EXPECT_EQ(vmm.stats().faults, faults);
+  EXPECT_EQ(tr().counter_value("vm.page.faulted", ws(0)), faults);
 }
 
 TEST_F(VmTest, FlushWritesDirtyPagesAndCleans) {
   auto sp = create_ok(ws(0), 4, 64, 4);
-  auto& vmm = cluster_.host(ws(0)).vm();
   touch_s(ws(0), sp, Segment::kHeap, 0, 64, true);
   EXPECT_TRUE(flush_s(ws(0), sp).is_ok());
-  EXPECT_EQ(vmm.stats().pages_flushed, 64);
+  EXPECT_EQ(tr().counter_value("vm.page.flushed", ws(0)), 64);
   EXPECT_EQ(sp->dirty_pages(), 0);
   EXPECT_EQ(sp->segment(Segment::kHeap).resident_pages(), 64);  // stays in
   // The swap file now holds the pages.
@@ -160,10 +158,12 @@ TEST_F(VmTest, ReFaultAfterFlushReadsFromSwap) {
   flush_s(ws(0), sp);
   vmm.invalidate(sp);
   EXPECT_EQ(sp->resident_pages(), 0);
-  vmm.reset_stats();
+  const auto in_before = tr().counter_value("vm.page.paged_in", ws(0));
+  const auto zero_before = tr().counter_value("vm.page.zero_filled", ws(0));
   touch_s(ws(0), sp, Segment::kHeap, 0, 16, false);
-  EXPECT_EQ(vmm.stats().pages_in, 16);  // from swap now, not zero-fill
-  EXPECT_EQ(vmm.stats().pages_zero_fill, 0);
+  // From swap now, not zero-fill.
+  EXPECT_EQ(tr().counter_value("vm.page.paged_in", ws(0)) - in_before, 16);
+  EXPECT_EQ(tr().counter_value("vm.page.zero_filled", ws(0)), zero_before);
 }
 
 TEST_F(VmTest, AdoptedSpaceDemandPagesFromSharedSwap) {
@@ -195,10 +195,10 @@ TEST_F(VmTest, AdoptedSpaceDemandPagesFromSharedSwap) {
   EXPECT_EQ((*adopted)->asid(), sp->asid());
   EXPECT_EQ((*adopted)->resident_pages(), 0);
 
-  auto& vmm1 = cluster_.host(ws(1)).vm();
-  vmm1.reset_stats();
+  const auto in_before = tr().counter_value("vm.page.paged_in", ws(1));
   EXPECT_TRUE(touch_s(ws(1), *adopted, Segment::kHeap, 0, 32, false).is_ok());
-  EXPECT_EQ(vmm1.stats().pages_in, 32);  // pulled from the server's swap
+  // Pulled from the server's swap.
+  EXPECT_EQ(tr().counter_value("vm.page.paged_in", ws(1)) - in_before, 32);
 }
 
 TEST_F(VmTest, DestroyUnlinksSwapFiles) {

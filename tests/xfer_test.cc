@@ -26,14 +26,6 @@ using sim::Time;
 using util::Err;
 using util::Status;
 
-std::int64_t sum_counter(Cluster& cluster, const std::string& name) {
-  trace::Registry& tr = cluster.sim().trace();
-  std::int64_t total = tr.counter_value(name, sim::kInvalidHost);
-  for (std::size_t h = 0; h < cluster.num_hosts(); ++h)
-    total += tr.counter_value(name, static_cast<HostId>(h));
-  return total;
-}
-
 std::string slurp(const std::string& path) {
   std::ifstream in(path);
   std::ostringstream out;
@@ -135,7 +127,7 @@ TEST_F(XferTest, SecondMigrationOfSameTextDedupsAgainstTargetCache) {
   // the target and travels as short references.
   EXPECT_GE(second.pages_deduped, code);
   EXPECT_LT(second.bytes_on_wire, first.bytes_on_wire);
-  EXPECT_GE(sum_counter(cluster_, "xfer.ref.sent"), 1);
+  EXPECT_GE(cluster_.sim().trace().counter_total("xfer.ref.sent"), 1);
 }
 
 // Same seed, same script => byte-identical metrics snapshots, including
@@ -208,7 +200,7 @@ TEST_F(XferTest, PostCopyPushDrainsResidualsWithoutTargetFaults) {
 
   // ...which the background push drains with the process fast asleep.
   cluster_.sim().run_until(cluster_.sim().now() + Time::sec(10));
-  EXPECT_GE(sum_counter(cluster_, "xfer.postcopy.drained"), 1);
+  EXPECT_GE(cluster_.sim().trace().counter_total("xfer.postcopy.drained"), 1);
   EXPECT_EQ(cluster_.host(ws(0)).mig().xfer().active_pushes(), 0u);
   EXPECT_EQ(cluster_.host(ws(1)).mig().xfer().active_incoming(), 0u);
   EXPECT_EQ(cluster_.host(ws(0)).mig().residual_spaces(), 0u);
@@ -224,8 +216,9 @@ TEST_F(XferTest, PostCopyPushDrainsResidualsWithoutTargetFaults) {
   // copy-on-reference source dependency.
   cluster_.crash_host(ws(0));
   cluster_.sim().run_until(cluster_.sim().now() + Time::sec(60));
-  EXPECT_EQ(sum_counter(cluster_, "mig.cor.killed_source_crash"), 0);
-  EXPECT_GE(sum_counter(cluster_, "proc.process.killed_home_crash"), 1);
+  const trace::Registry& tr = cluster_.sim().trace();
+  EXPECT_EQ(tr.counter_total("mig.cor.killed_source_crash"), 0);
+  EXPECT_GE(tr.counter_total("proc.process.killed_home_crash"), 1);
 }
 
 // ---- Crash matrix: the stages only the engine can reach ----
