@@ -72,6 +72,49 @@ void BM_FsCachedReads(benchmark::State& state) {
 }
 BENCHMARK(BM_FsCachedReads);
 
+// The server-side data path: 4 KB block writes (journal append, block store,
+// checksum) and reads verified against the block checksums, through a
+// no-cache stream so every block reaches the server.
+void BM_FsServerWriteVerifyRead(benchmark::State& state) {
+  constexpr int kBlocks = 64;
+  const sprite::fs::Bytes block(4096, 0x5a);
+  for (auto _ : state) {
+    state.PauseTiming();
+    sprite::kern::Cluster cluster(
+        {.num_workstations = 1, .num_file_servers = 1});
+    auto& fs = cluster.host(1).fs();
+    sprite::fs::OpenFlags flags = sprite::fs::OpenFlags::create_rw();
+    flags.no_cache = true;
+    sprite::fs::StreamPtr s;
+    bool opened = false;
+    fs.open("/data", flags,
+            [&](sprite::util::Result<sprite::fs::StreamPtr> r) {
+              s = *r;
+              opened = true;
+            });
+    cluster.run_until_done([&] { return opened; });
+    state.ResumeTiming();
+
+    // One operation at a time: each advances the stream offset.
+    int done = 0;
+    for (int i = 0; i < kBlocks; ++i) {
+      fs.write(s, block,
+               [&](sprite::util::Result<std::int64_t>) { ++done; });
+      cluster.run_until_done([&] { return done == i + 1; });
+    }
+    fs.seek(s, 0);
+    for (int i = 0; i < kBlocks; ++i) {
+      fs.read(s, 4096, [&](sprite::util::Result<sprite::fs::Bytes> r) {
+        benchmark::DoNotOptimize(r);
+        ++done;
+      });
+      cluster.run_until_done([&] { return done == kBlocks + i + 1; });
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * 2 * kBlocks * 4096);
+}
+BENCHMARK(BM_FsServerWriteVerifyRead);
+
 void BM_ExecTimeMigration(benchmark::State& state) {
   for (auto _ : state) {
     sprite::core::SpriteCluster cluster(

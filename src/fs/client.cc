@@ -406,11 +406,7 @@ void FsClient::cached_read(const StreamPtr& s, std::int64_t offset,
         missing = true;  // evicted under memory pressure mid-operation
         break;
       }
-      const Bytes& data = bit->second.data;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto idx = static_cast<std::size_t>(boff + i);
-        out.push_back(idx < data.size() ? data[idx] : 0);
-      }
+      append_block_range(out, bit->second.data, boff, n);
       pos += n;
     }
     if (missing) {

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "fs/types.h"
@@ -344,8 +345,9 @@ class FsClient {
 
   // LRU over (file, block) for cache capacity enforcement.
   std::list<std::pair<FileId, std::int64_t>> lru_;
-  std::map<std::pair<FileId, std::int64_t>,
-           std::list<std::pair<FileId, std::int64_t>>::iterator>
+  std::unordered_map<std::pair<FileId, std::int64_t>,
+                     std::list<std::pair<FileId, std::int64_t>>::iterator,
+                     BlockKeyHash>
       lru_index_;
 
   // Registry-backed metrics (trace/trace.h).

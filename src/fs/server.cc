@@ -269,21 +269,7 @@ util::Result<Bytes> FsServer::read_direct(FileId id, std::int64_t offset,
                                           std::int64_t len) const {
   const Inode* node = find_inode(id.ino);
   if (node == nullptr) return {Err::kNoEnt, "stale file id"};
-  // const_cast is safe: pread only mutates nothing for const access pattern;
-  // implemented via a copy of the lookup logic to keep pread non-const for
-  // the caching path.
-  Bytes out;
-  const std::int64_t end = std::min(offset + len, node->size);
-  for (std::int64_t pos = offset; pos < end; ++pos) {
-    const std::int64_t blk = pos / costs_.block_size;
-    const std::int64_t off = pos % costs_.block_size;
-    auto it = node->blocks.find(blk);
-    out.push_back(it == node->blocks.end() || off >= static_cast<std::int64_t>(
-                                                         it->second.size())
-                      ? 0
-                      : it->second[static_cast<std::size_t>(off)]);
-  }
-  return out;
+  return pread(*node, offset, len);
 }
 
 bool FsServer::is_cacheable(FileId id) const {
@@ -302,27 +288,21 @@ std::int64_t FsServer::group_offset(FileId id, std::int64_t group) const {
 // Data helpers
 // ---------------------------------------------------------------------------
 
-Bytes FsServer::pread(Inode& node, std::int64_t offset, std::int64_t len) {
+Bytes FsServer::pread(const Inode& node, std::int64_t offset,
+                      std::int64_t len) const {
   Bytes out;
   if (offset >= node.size || len <= 0) return out;
   const std::int64_t end = std::min(offset + len, node.size);
   out.reserve(static_cast<std::size_t>(end - offset));
-  std::int64_t pos = offset;
-  while (pos < end) {
+  for (std::int64_t pos = offset; pos < end;) {
     const std::int64_t blk = pos / costs_.block_size;
     const std::int64_t boff = pos % costs_.block_size;
-    const std::int64_t n =
-        std::min(costs_.block_size - boff, end - pos);
+    const std::int64_t n = std::min(costs_.block_size - boff, end - pos);
     auto it = node.blocks.find(blk);
-    if (it == node.blocks.end()) {
-      out.insert(out.end(), static_cast<std::size_t>(n), 0);
-    } else {
-      const Bytes& b = it->second;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const auto idx = static_cast<std::size_t>(boff + i);
-        out.push_back(idx < b.size() ? b[idx] : 0);
-      }
-    }
+    if (it == node.blocks.end())
+      out.insert(out.end(), static_cast<std::size_t>(n), 0);  // hole
+    else
+      append_block_range(out, it->second, boff, n);
     pos += n;
   }
   return out;
@@ -343,15 +323,6 @@ std::int64_t FsServer::pwrite(Inode& node, std::int64_t offset,
   node.size = std::max(node.size,
                        offset + static_cast<std::int64_t>(data.size()));
   return static_cast<std::int64_t>(data.size());
-}
-
-std::uint64_t FsServer::block_sum(const Bytes& b) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64-bit
-  for (std::uint8_t byte : b) {
-    h ^= byte;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 void FsServer::write_blocks(Inode& node, std::int64_t offset,
@@ -379,7 +350,7 @@ void FsServer::write_blocks(Inode& node, std::int64_t offset,
     std::copy(data.begin() + static_cast<std::ptrdiff_t>(src),
               data.begin() + static_cast<std::ptrdiff_t>(src + n),
               b.begin() + static_cast<std::ptrdiff_t>(boff));
-    node.block_sums[blk] = block_sum(b);
+    node.block_sums[blk] = block_checksum(b);
     pos += n;
     src += static_cast<std::size_t>(n);
   }
@@ -391,7 +362,7 @@ bool FsServer::block_ok(const Inode& node, std::int64_t blk) const {
   if (s == node.block_sums.end()) return true;  // never checksummed (hole)
   auto b = node.blocks.find(blk);
   if (b == node.blocks.end()) return true;  // truncated away since
-  return block_sum(b->second) == s->second;
+  return block_checksum(b->second) == s->second;
 }
 
 bool FsServer::verify_range(const Inode& node, std::int64_t offset,
@@ -416,7 +387,7 @@ void FsServer::journal_append(Ino ino, std::int64_t offset,
   rec.ino = ino;
   rec.offset = offset;
   rec.data = data;
-  rec.sum = block_sum(data);
+  rec.sum = block_checksum(data);
   journal_.push_back(std::move(rec));
   c_journal_appended_->inc();
   // Applied records beyond the redo horizon are dead weight; recovery only
@@ -430,7 +401,7 @@ void FsServer::journal_append(Ino ino, std::int64_t offset,
 void FsServer::journal_recover() {
   for (JournalRec& rec : journal_) {
     if (rec.applied) continue;
-    if (rec.torn || block_sum(rec.data) != rec.sum) {
+    if (rec.torn || block_checksum(rec.data) != rec.sum) {
       // The crash tore the record itself: the write never became durable.
       // Its half-applied on-disk remnant fails checksum verification, so it
       // is caught (and repaired from the replica) rather than served.
@@ -605,9 +576,9 @@ void FsServer::repair_block(Ino ino, std::int64_t blk) {
           // repair). A tainted block's sum is itself untrustworthy, so the
           // peer's verified copy is accepted wholesale.
           if (tainted || s == node.block_sums.end() ||
-              block_sum(rep->data) == s->second) {
+              block_checksum(rep->data) == s->second) {
             node.blocks[blk] = rep->data;
-            node.block_sums[blk] = block_sum(rep->data);
+            node.block_sums[blk] = block_checksum(rep->data);
             node.tainted.erase(blk);
             fixed = true;
           }
@@ -1646,7 +1617,7 @@ void FsServer::install_snapshot(const ReplFetchRep& rep) {
     // A snapshot is a fresh trusted copy: recompute checksums over what the
     // primary sent (taint, if any, does not carry over).
     for (const auto& [blk, data] : node.blocks)
-      node.block_sums[blk] = block_sum(data);
+      node.block_sums[blk] = block_checksum(data);
     node.pdev_host = im.pdev_host;
     node.pdev_tag = im.pdev_tag;
     inodes_.emplace(im.ino, std::move(node));

@@ -29,16 +29,18 @@
 // dies with the primary and is rebuilt by client reopens, exactly as after a
 // single-server reboot.
 //
-// Integrity: every written block carries an FNV-1a checksum, maintained on
-// the write path and verified on every read — a mismatch surfaces
-// Err::kCorrupt, never silent wrong data. Writes first land in a bounded
-// redo journal that (like the blocks) survives a crash; boot replays intact
-// unapplied records and discards torn ones, so a write interrupted by a
-// crash is either fully present or fully absent, with its torn on-disk
-// remnant caught by the checksums. An optional background scrubber walks
-// the block space in bounded passes and repairs corrupt blocks from the
-// replica peer (verifying fetched bytes against the local checksum before
-// installing them); without a peer the corruption stays visible as kCorrupt.
+// Integrity: every written block carries a block_checksum (fs/types.h: a
+// four-lane word-at-a-time sum that detects any change confined to one 8-byte
+// word, so every single-bit flip), maintained on the write path and verified
+// on every read — a mismatch surfaces Err::kCorrupt, never silent wrong data.
+// Writes first land in a bounded redo journal that (like the blocks) survives
+// a crash; boot replays intact unapplied records and discards torn ones, so a
+// write interrupted by a crash is either fully present or fully absent, with
+// its torn on-disk remnant caught by the checksums. An optional background
+// scrubber walks the block space in bounded passes and repairs corrupt blocks
+// from the replica peer (verifying fetched bytes against the local checksum
+// before installing them); without a peer the corruption stays visible as
+// kCorrupt.
 #pragma once
 
 #include <cstdint>
@@ -122,8 +124,6 @@ class FsServer {
   void peer_crashed(sim::HostId h);
 
   // ---- Integrity: checksums, journal, scrubber, fault injection ----
-  // FNV-1a over a block's stored bytes.
-  static std::uint64_t block_sum(const Bytes& b);
   // Storage-fault injection (FaultPlan storage hooks). `draw` is the plan's
   // deterministic random value; it picks the victim block / tear shape.
   void inject_bit_flip(std::uint64_t draw);
@@ -152,10 +152,12 @@ class FsServer {
     std::int64_t size = 0;
     std::int64_t version = 0;
     std::map<std::int64_t, Bytes> blocks;  // sparse authoritative data
-    // Per-block FNV-1a checksums, updated with every block write. A block
-    // whose bytes no longer match its sum is corrupt: reads fail kCorrupt
-    // and the scrubber repairs it from the replica. Blocks never written
-    // through the write path (holes) have no entry and verify trivially.
+    // Per-block checksums (block_checksum: any change within one 8-byte
+    // word, e.g. a single bit flip, is always caught), updated with every
+    // block write. A block whose bytes no longer match its sum is corrupt:
+    // reads fail kCorrupt and the scrubber repairs it from the replica.
+    // Blocks never written through the write path (holes) have no entry and
+    // verify trivially.
     std::map<std::int64_t, std::uint64_t> block_sums;
     // Blocks whose content incorporated unverifiable bytes (a
     // read-modify-write over an already-corrupt block): treated as corrupt
@@ -212,7 +214,7 @@ class FsServer {
   void maybe_reap(Ino i);
 
   // Data helpers (authoritative storage).
-  Bytes pread(Inode& node, std::int64_t offset, std::int64_t len);
+  Bytes pread(const Inode& node, std::int64_t offset, std::int64_t len) const;
   std::int64_t pwrite(Inode& node, std::int64_t offset, const Bytes& data);
 
   // ---- Integrity helpers ----
@@ -223,7 +225,9 @@ class FsServer {
     Ino ino = kInvalidIno;
     std::int64_t offset = 0;
     Bytes data;
-    std::uint64_t sum = 0;  // FNV over `data` at append time
+    // block_checksum of `data` at append time: garbling confined to one
+    // 8-byte word is always caught, wider damage with high probability.
+    std::uint64_t sum = 0;
     bool applied = false;   // block apply completed before any crash
     bool torn = false;      // the crash garbled the record itself
   };
@@ -331,8 +335,9 @@ class FsServer {
 
   // Server block cache (timing only): LRU over (ino, block).
   std::list<std::pair<Ino, std::int64_t>> lru_;
-  std::map<std::pair<Ino, std::int64_t>,
-           std::list<std::pair<Ino, std::int64_t>>::iterator>
+  std::unordered_map<std::pair<Ino, std::int64_t>,
+                     std::list<std::pair<Ino, std::int64_t>>::iterator,
+                     BlockKeyHash>
       cached_;
 
   // Registry-backed metrics (trace/trace.h).

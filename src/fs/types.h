@@ -2,8 +2,10 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/ids.h"
@@ -54,6 +56,40 @@ struct OpenFlags {
 };
 
 using Bytes = std::vector<std::uint8_t>;
+
+// Integrity checksum of a stored file block (server block sums, journal
+// record sums). Four independent lanes absorb the bytes as 8-byte words; each
+// lane step is a bijection of the lane state for a fixed word and of the word
+// for a fixed state, so a change confined to one word of an equal-length
+// input (in particular any single-bit flip) always changes the sum. An
+// xorshift after each multiply carries high-bit differences downward, so two
+// flips of bit 63 in consecutive words of one lane cannot cancel. The lanes
+// fold together, then the tail bytes, then the length. Sums are only
+// compared within one process; they are never serialized or sent.
+std::uint64_t block_checksum(const Bytes& b);
+
+// Appends bytes [boff, boff + n) of `block` to `out`. Bytes past the end of a
+// short block read as 0.
+void append_block_range(Bytes& out, const Bytes& block, std::int64_t boff,
+                        std::int64_t n);
+
+// Hash for the (file, block) keys of the block-LRU indexes.
+struct BlockKeyHash {
+  static std::size_t mix(std::uint64_t a, std::uint64_t b) {
+    std::uint64_t h = (a * 0x9e3779b97f4a7c15ull) ^ b;
+    h = (h ^ (h >> 32)) * 0xd6e8feb86659fd93ull;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+  }
+  std::size_t operator()(const std::pair<Ino, std::int64_t>& k) const {
+    return mix(static_cast<std::uint64_t>(k.first),
+               static_cast<std::uint64_t>(k.second));
+  }
+  std::size_t operator()(const std::pair<FileId, std::int64_t>& k) const {
+    return mix(mix(static_cast<std::uint64_t>(k.first.server),
+                   static_cast<std::uint64_t>(k.first.ino)),
+               static_cast<std::uint64_t>(k.second));
+  }
+};
 
 // What the name server returns from a successful open.
 struct OpenResult {

@@ -3,12 +3,14 @@
 // positions, stream migration, and pseudo-devices.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "fs/client.h"
 #include "fs/server.h"
 #include "kern/cluster.h"
 #include "sim/time.h"
+#include "util/rng.h"
 
 namespace sprite::fs {
 namespace {
@@ -492,6 +494,143 @@ TEST_F(FsTest, BulkFlushRateNearCalibration) {
   const double ms = (cluster_.sim().now() - start).ms();
   EXPECT_GT(ms, 380.0);
   EXPECT_LT(ms, 700.0);
+}
+
+TEST_F(FsTest, SparseFileReadsByteExactCachedAndUncached) {
+  // A sparse layout written through a no-cache stream, so each write lands
+  // at the server at exactly its offset: block 0 full, block 1 a hole, an
+  // unaligned span across blocks 2-4 (block 4 stored short, with the file
+  // extending past it), and a short last block 5.
+  const std::int64_t bs = cluster_.costs().block_size;
+  struct Span {
+    std::int64_t offset;
+    std::int64_t len;
+  };
+  const Span spans[] = {{0, bs}, {2 * bs + 100, 2 * bs + 300}, {5 * bs, 123}};
+  const std::int64_t size = 5 * bs + 123;
+
+  OpenFlags wflags = OpenFlags::create_rw();
+  wflags.no_cache = true;
+  auto w = open_ok(ws(0), "/sparse", wflags);
+  ASSERT_TRUE(w);
+  Bytes ref(static_cast<std::size_t>(size), 0);
+  for (const Span& sp : spans) {
+    Bytes data(static_cast<std::size_t>(sp.len));
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::uint8_t>((sp.offset + 31 * i + 1) % 251 + 1);
+      ref[static_cast<std::size_t>(sp.offset) + i] = data[i];
+    }
+    ASSERT_TRUE(cluster_.host(ws(0)).fs().seek(w, sp.offset).is_ok());
+    ASSERT_EQ(write_ok(ws(0), w, data), sp.len);
+  }
+  ASSERT_TRUE(close_s(ws(0), w).is_ok());
+
+  // Whole file plus unaligned windows that start inside a block, span the
+  // hole, and run into the stored-short block and past EOF.
+  const Span windows[] = {{0, size + 500},
+                          {bs - 7, bs + 20},
+                          {2 * bs + 50, 3 * bs},
+                          {4 * bs + 250, bs + 400}};
+  auto expect = [&](const Span& win) {
+    const std::int64_t end = std::min(win.offset + win.len, size);
+    return Bytes(ref.begin() + win.offset, ref.begin() + end);
+  };
+
+  OpenFlags rflags = OpenFlags::read_only();
+  rflags.no_cache = true;
+  auto uncached = open_ok(ws(1), "/sparse", rflags);
+  auto cached = open_ok(ws(2), "/sparse", OpenFlags::read_only());
+  ASSERT_TRUE(uncached && cached && cached->cacheable);
+  for (const Span& win : windows) {
+    SCOPED_TRACE(win.offset);
+    cluster_.host(ws(1)).fs().seek(uncached, win.offset);
+    EXPECT_EQ(read_ok(ws(1), uncached, win.len), expect(win));
+    cluster_.host(ws(2)).fs().seek(cached, win.offset);
+    EXPECT_EQ(read_ok(ws(2), cached, win.len), expect(win));
+  }
+  // The first stream really went to the server, the second to the cache.
+  EXPECT_EQ(tr().counter_value("fs.client.block.hit", ws(1)) +
+                tr().counter_value("fs.client.block.miss", ws(1)),
+            0);
+  EXPECT_GT(tr().counter_value("fs.client.block.hit", ws(2)), 0);
+}
+
+// ---- block_checksum detection properties ----
+
+Bytes random_block(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  Bytes b(n);
+  for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.next_u64());
+  return b;
+}
+
+// Flips every bit of `b` in turn; each flip must change the checksum.
+void expect_every_bit_flip_detected(Bytes b) {
+  const std::uint64_t base = block_checksum(b);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      b[i] ^= static_cast<std::uint8_t>(1u << bit);
+      ASSERT_NE(block_checksum(b), base)
+          << "size " << b.size() << " byte " << i << " bit " << bit;
+      b[i] ^= static_cast<std::uint8_t>(1u << bit);
+    }
+  }
+  EXPECT_EQ(block_checksum(b), base);
+}
+
+TEST(FsChecksumTest, EverySingleBitFlipOfABlockIsDetected) {
+  expect_every_bit_flip_detected(random_block(4096, 1));  // 32,768 bits
+}
+
+TEST(FsChecksumTest, ShortAndOddLengthsDetectFlipsAndDiffer) {
+  // Lengths that exercise an empty input, the tail word alone, stripes
+  // plus whole leftover words, and a tail after a full 4 KB run.
+  std::set<std::uint64_t> zero_sums;
+  for (std::size_t n : {0, 1, 7, 31, 33, 4095}) {
+    SCOPED_TRACE(n);
+    expect_every_bit_flip_detected(random_block(n, 100 + n));
+    zero_sums.insert(block_checksum(Bytes(n, 0)));
+  }
+  EXPECT_EQ(zero_sums.size(), 6u);  // the length is part of the sum
+}
+
+TEST(FsChecksumTest, HighBitFlipsInTwoWordsOfOneLaneDoNotCancel) {
+  // Bit 63 of a little-endian word is the top bit of its last byte. Pair
+  // every word with each of the next eight, covering any lane count <= 8:
+  // a multiply-only lane would carry the first flip to bit 63 only, where
+  // the second flip would cancel it.
+  const Bytes block = random_block(4096, 7);
+  const std::uint64_t base = block_checksum(block);
+  for (std::size_t w = 0; w < 64; ++w) {
+    for (std::size_t d = 1; d <= 8; ++d) {
+      Bytes b = block;
+      b[8 * w + 7] ^= 0x80;
+      b[8 * (w + d) + 7] ^= 0x80;
+      ASSERT_NE(block_checksum(b), base) << "words " << w << "," << w + d;
+    }
+  }
+}
+
+TEST(FsChecksumTest, AppendedZeroByteChangesSum) {
+  for (std::size_t n : {0, 1, 7, 8, 31, 32, 33, 63, 4095, 4096}) {
+    Bytes b = random_block(n, 50 + n);
+    const std::uint64_t before = block_checksum(b);
+    b.push_back(0);
+    EXPECT_NE(block_checksum(b), before) << "size " << n;
+  }
+}
+
+TEST(FsChecksumTest, EqualBytesGiveEqualSums) {
+  const Bytes a = random_block(4096, 3);
+  for (std::size_t n : {0, 5, 32, 100, 4096}) {
+    // A separate allocation (and a copy cut from an offset) of the same
+    // bytes must sum identically.
+    const Bytes x(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(n));
+    Bytes y(n + 3);
+    std::copy(x.begin(), x.end(), y.begin() + 3);
+    const Bytes z(y.begin() + 3, y.end());
+    EXPECT_EQ(block_checksum(x), block_checksum(z)) << "size " << n;
+  }
 }
 
 }  // namespace
