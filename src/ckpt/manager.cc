@@ -7,6 +7,7 @@
 #include "kern/cluster.h"
 #include "proc/wire.h"
 #include "util/assert.h"
+#include "util/async.h"
 #include "util/log.h"
 
 namespace sprite::ckpt {
@@ -216,27 +217,23 @@ void CkptManager::capture_flush(std::uint64_t token) {
     if (std::find(ids.begin(), ids.end(), s->file) == ids.end())
       ids.push_back(s->file);
   }
-  flush_files(std::move(ids), 0, [this, token](Status st) {
+  util::async_loop([this, token, ids = std::move(ids)](std::size_t i,
+                                                       auto next) {
+    if (i < ids.size()) {
+      fs().flush_file(ids[i], [this, token, next](Status st) {
+        if (!st.is_ok()) return capture_fail(token, st);
+        next();
+      });
+      return;
+    }
     auto it = captures_.find(token);
     if (it == captures_.end()) return;
-    if (!st.is_ok()) return capture_fail(token, st);
     notify_stage(it->second.pcb->pid, CkptStage::kFlushed);
     // Serialize the PCB record and page maps (migration's encapsulate
     // sibling).
     host_.cpu().submit(sim::JobClass::kKernel,
                        host_.cluster().costs().ckpt_capture_cpu,
                        [this, token] { capture_load_chain(token); });
-  });
-}
-
-void CkptManager::flush_files(std::vector<fs::FileId> ids, std::size_t i,
-                              StatusCb cb) {
-  if (i >= ids.size()) return cb(Status::ok());
-  const fs::FileId id = ids[i];
-  fs().flush_file(id, [this, ids = std::move(ids), i,
-                       cb = std::move(cb)](Status st) mutable {
-    if (!st.is_ok()) return cb(st);
-    flush_files(std::move(ids), i + 1, std::move(cb));
   });
 }
 
@@ -258,22 +255,16 @@ void CkptManager::capture_load_chain(std::uint64_t token) {
     // New captures must land above everything on disk, including a capture
     // whose chain meta turns out unreadable (its files still exist).
     it->second.seq_floor = cands.front();
-    auto cands_p =
-        std::make_shared<std::vector<std::int64_t>>(std::move(cands));
-    auto try_meta = std::make_shared<std::function<void(std::size_t)>>();
-    *try_meta = [this, token, pid, cands_p,
-                 wtry = std::weak_ptr<std::function<void(std::size_t)>>(
-                     try_meta)](std::size_t i) {
-      if (i >= cands_p->size()) {
+    util::async_loop([this, token, pid, cands = std::move(cands)](
+                         std::size_t i, auto next) {
+      if (i >= cands.size()) {
         // No candidate's chain is readable: force a fresh base above the
         // head seq (nothing to compact — the old files leak, the chain
         // stays consistent).
         return capture_plan(token);
       }
-      auto self = wtry.lock();
-      if (!self) return;
-      read_image_file(meta_path(pid, (*cands_p)[i]),
-                      [this, token, pid, i, self](Result<fs::Bytes> mr) {
+      read_image_file(meta_path(pid, cands[i]),
+                      [this, token, pid, next](Result<fs::Bytes> mr) {
                         auto it = captures_.find(token);
                         if (it == captures_.end()) return;
                         if (mr.is_ok()) {
@@ -285,10 +276,9 @@ void CkptManager::capture_load_chain(std::uint64_t token) {
                             return capture_plan(token);
                           }
                         }
-                        (*self)(i + 1);
+                        next();
                       });
-    };
-    (*try_meta)(0);
+    });
   });
 }
 
@@ -512,29 +502,23 @@ void CkptManager::capture_fail(std::uint64_t token, util::Status st) {
 void CkptManager::compact(proc::Pid pid, std::vector<std::int64_t> seqs) {
   // Unlink superseded captures after the fresh base committed. Failures are
   // ignored: a leaked file wastes space, the chain stays consistent.
-  auto paths = std::make_shared<std::vector<std::string>>();
+  std::vector<std::string> paths;
   for (std::int64_t s : seqs) {
-    paths->push_back(meta_path(pid, s));
-    paths->push_back(pages_path(pid, s));
+    paths.push_back(meta_path(pid, s));
+    paths.push_back(pages_path(pid, s));
   }
   const std::int64_t n = static_cast<std::int64_t>(seqs.size());
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  // The in-flight unlink callback keeps `step` alive (strong capture); the
-  // step function itself holds only a weak reference to avoid a self-cycle.
-  *step = [this, pid, paths, n, wstep = std::weak_ptr<std::function<void(std::size_t)>>(step)](
-              std::size_t i) {
-    if (i >= paths->size()) {
+  util::async_loop([this, pid, paths = std::move(paths), n](std::size_t i,
+                                                            auto next) {
+    if (i >= paths.size()) {
       c_compactions_->inc();
       host_.cluster().sim().trace().flight_note(
           "ckpt.compact", "done", self_, static_cast<std::int64_t>(pid), n);
       notify_stage(pid, CkptStage::kCompacted);
       return;
     }
-    auto self = wstep.lock();
-    if (!self) return;
-    fs().unlink((*paths)[i], [self, i](Status) { (*self)(i + 1); });
-  };
-  (*step)(0);
+    fs().unlink(paths[i], [next](Status) { next(); });
+  });
 }
 
 void CkptManager::cleanup_chain(proc::Pid pid) {
@@ -551,23 +535,18 @@ void CkptManager::cleanup_chain(proc::Pid pid) {
         auto m = CkptMeta::decode(*mr);
         if (m.is_ok()) seqs.insert(m->chain.begin(), m->chain.end());
       }
-      auto paths = std::make_shared<std::vector<std::string>>();
+      std::vector<std::string> paths;
       for (std::int64_t s : seqs) {
-        paths->push_back(meta_path(pid, s));
-        paths->push_back(pages_path(pid, s));
+        paths.push_back(meta_path(pid, s));
+        paths.push_back(pages_path(pid, s));
       }
       for (int slot = 0; slot < kHeadSlots; ++slot)
-        paths->push_back(head_path(pid, slot));
-      auto step = std::make_shared<std::function<void(std::size_t)>>();
-      *step = [this, paths,
-               wstep = std::weak_ptr<std::function<void(std::size_t)>>(step)](
-                  std::size_t i) {
-        if (i >= paths->size()) return;
-        auto self = wstep.lock();
-        if (!self) return;
-        fs().unlink((*paths)[i], [self, i](Status) { (*self)(i + 1); });
-      };
-      (*step)(0);
+        paths.push_back(head_path(pid, slot));
+      util::async_loop([this, paths = std::move(paths)](std::size_t i,
+                                                        auto next) {
+        if (i >= paths.size()) return;
+        fs().unlink(paths[i], [next](Status) { next(); });
+      });
     });
   });
 }
@@ -1193,7 +1172,7 @@ void CkptManager::arm_autockpt() {
 void CkptManager::autockpt_tick() {
   if (!auto_enabled_ || !host_.up()) return;
   const Time now = host_.cluster().sim().now();
-  auto pids = std::make_shared<std::vector<proc::Pid>>();
+  std::vector<proc::Pid> pids;
   auto consider = [&](const proc::PcbPtr& pcb) {
     const proc::Pid pid = pcb->pid;
     if (active_captures_.count(pid) || active_restores_.count(pid)) return;
@@ -1209,23 +1188,21 @@ void CkptManager::autockpt_tick() {
     }
     const bool due = now - last >= auto_interval_;
     const bool over = dirty >= auto_dirty_threshold_;
-    if (due || over) pids->push_back(pid);
+    if (due || over) pids.push_back(pid);
   };
   for (const auto& pcb : procs().local_processes()) consider(pcb);
   for (const auto& pcb : procs().foreign_processes()) consider(pcb);
-  run_auto_batch(pids, 0);
-}
-
-void CkptManager::run_auto_batch(std::shared_ptr<std::vector<proc::Pid>> pids,
-                                 std::size_t i) {
-  if (i >= pids->size()) return arm_autockpt();
-  auto pcb = procs().find((*pids)[i]);
-  if (!pcb) return run_auto_batch(std::move(pids), i + 1);
-  c_auto_->inc();
-  const std::uint64_t gen = gen_;
-  checkpoint(pcb, [this, pids = std::move(pids), i, gen](Status) mutable {
-    if (gen != gen_) return;
-    run_auto_batch(std::move(pids), i + 1);
+  // One capture at a time; a crash (gen_ moves on) abandons the batch.
+  util::async_loop([this, pids = std::move(pids), gen = gen_](std::size_t i,
+                                                              auto next) {
+    if (i >= pids.size()) return arm_autockpt();
+    auto pcb = procs().find(pids[i]);
+    if (!pcb) return next();
+    c_auto_->inc();
+    checkpoint(pcb, [this, gen, next](Status) {
+      if (gen != gen_) return;
+      next();
+    });
   });
 }
 
@@ -1318,20 +1295,19 @@ void CkptManager::read_image_file(const std::string& path, BytesCb cb) {
 void CkptManager::read_head_seqs(
     proc::Pid pid, std::function<void(std::vector<std::int64_t>)> cb) {
   auto cands = std::make_shared<std::vector<std::int64_t>>();
-  auto done = std::make_shared<std::function<void(std::vector<std::int64_t>)>>(
-      std::move(cb));
   read_image_file(
-      head_path(pid, 0), [this, pid, cands, done](Result<fs::Bytes> r0) {
+      head_path(pid, 0),
+      [this, pid, cands, done = std::move(cb)](Result<fs::Bytes> r0) mutable {
         if (r0.is_ok())
           if (auto s = decode_head(*r0); s.is_ok()) cands->push_back(*s);
         read_image_file(head_path(pid, 1),
-                        [cands, done](Result<fs::Bytes> r1) {
+                        [cands, done = std::move(done)](Result<fs::Bytes> r1) {
                           if (r1.is_ok())
                             if (auto s = decode_head(*r1); s.is_ok())
                               cands->push_back(*s);
                           std::sort(cands->begin(), cands->end(),
                                     std::greater<std::int64_t>());
-                          (*done)(std::move(*cands));
+                          done(std::move(*cands));
                         });
       });
 }

@@ -273,14 +273,11 @@ class CkptManager : public proc::RestarterIface {
   // simply excluded; it never aborts the caller.
   void read_head_seqs(proc::Pid pid,
                       std::function<void(std::vector<std::int64_t>)> cb);
-  void flush_files(std::vector<fs::FileId> ids, std::size_t i, StatusCb cb);
 
   void handle_rpc(sim::HostId src, const rpc::Request& req,
                   std::function<void(rpc::Reply)> respond);
   void autockpt_tick();
   void arm_autockpt();
-  void run_auto_batch(std::shared_ptr<std::vector<proc::Pid>> pids,
-                      std::size_t i);
   void notify_stage(proc::Pid pid, CkptStage stage);
   proc::ProcTable& procs() const;
   vm::VmManager& vm() const;

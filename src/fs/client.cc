@@ -4,6 +4,7 @@
 
 #include "fs/pdev.h"
 #include "util/assert.h"
+#include "util/async.h"
 #include "util/log.h"
 
 namespace sprite::fs {
@@ -352,17 +353,16 @@ void FsClient::read(const StreamPtr& s, std::int64_t len, ReadCb cb) {
     cb(std::move(r));
   };
 
-  auto attempt = std::make_shared<std::function<void(ReadCb)>>(
-      [this, s, offset, len](ReadCb k) {
-        const auto it = files_.find(s->file);
-        const bool use_cache = s->cacheable && !s->flags.no_cache &&
-                               it != files_.end() && it->second.cacheable;
-        if (use_cache) {
-          cached_read(s, offset, len, std::move(k));
-        } else {
-          remote_read(s->file, offset, len, std::move(k));
-        }
-      });
+  auto attempt = [this, s, offset, len](ReadCb k) {
+    const auto it = files_.find(s->file);
+    const bool use_cache = s->cacheable && !s->flags.no_cache &&
+                           it != files_.end() && it->second.cacheable;
+    if (use_cache) {
+      cached_read(s, offset, len, std::move(k));
+    } else {
+      remote_read(s->file, offset, len, std::move(k));
+    }
+  };
   retry_once_on_stale<Bytes>(s, std::move(attempt), std::move(done));
 }
 
@@ -424,24 +424,12 @@ void FsClient::cached_read(const StreamPtr& s, std::int64_t offset,
   }
 
   // Fetch runs sequentially, then assemble.
-  // Self-referential step function: the lambda captures only a WEAK ref to
-  // itself (a strong self-capture would be a shared_ptr cycle and leak the
-  // captured state); every caller — the kick-off below and each pending
-  // continuation — holds a strong ref for the duration of the call.
-  auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
-  *fetch_next = [this, s, runs, assemble = std::move(assemble),
-                 wself = std::weak_ptr<std::function<void(std::size_t)>>(
-                     fetch_next)](std::size_t i) mutable {
-    auto fetch_next = wself.lock();
-    SPRITE_CHECK(fetch_next != nullptr);
-    if (i >= runs.size()) {
-      assemble();
-      return;
-    }
+  util::async_loop([this, s, runs = std::move(runs),
+                    assemble = std::move(assemble)](std::size_t i, auto next) {
+    if (i >= runs.size()) return assemble();
     fetch_blocks(s->file, runs[i].first, runs[i].second,
-                 [fetch_next, i](Status) { (*fetch_next)(i + 1); });
-  };
-  (*fetch_next)(0);
+                 [next](Status) { next(); });
+  });
 }
 
 void FsClient::fetch_blocks(FileId id, std::int64_t first, std::int64_t last,
@@ -524,17 +512,16 @@ void FsClient::write(const StreamPtr& s, Bytes data, WriteCb cb) {
   };
 
   auto payload = std::make_shared<Bytes>(std::move(data));
-  auto attempt = std::make_shared<std::function<void(WriteCb)>>(
-      [this, s, offset, payload](WriteCb k) {
-        const auto it = files_.find(s->file);
-        const bool use_cache = s->cacheable && !s->flags.no_cache &&
-                               it != files_.end() && it->second.cacheable;
-        if (use_cache) {
-          cached_write(s, offset, *payload, std::move(k));
-        } else {
-          remote_write(s->file, offset, *payload, std::move(k));
-        }
-      });
+  auto attempt = [this, s, offset, payload](WriteCb k) {
+    const auto it = files_.find(s->file);
+    const bool use_cache = s->cacheable && !s->flags.no_cache &&
+                           it != files_.end() && it->second.cacheable;
+    if (use_cache) {
+      cached_write(s, offset, *payload, std::move(k));
+    } else {
+      remote_write(s->file, offset, *payload, std::move(k));
+    }
+  };
   retry_once_on_stale<std::int64_t>(s, std::move(attempt), std::move(done));
 }
 
@@ -593,28 +580,20 @@ void FsClient::cached_write(const StreamPtr& s, std::int64_t offset,
     sim_.after(Time::zero(), std::move(apply));
     return;
   }
-  auto fetch_next = std::make_shared<std::function<void(std::size_t)>>();
-  *fetch_next = [this, s, fetches, shared_cb, apply = std::move(apply),
-                 wself = std::weak_ptr<std::function<void(std::size_t)>>(
-                     fetch_next)](std::size_t i) mutable {
-    auto fetch_next = wself.lock();  // weak self: see cached_read
-    SPRITE_CHECK(fetch_next != nullptr);
-    if (i >= fetches.size()) {
-      apply();
-      return;
-    }
+  util::async_loop([this, s, fetches = std::move(fetches), shared_cb,
+                    apply = std::move(apply)](std::size_t i, auto next) {
+    if (i >= fetches.size()) return apply();
     fetch_blocks(s->file, fetches[i].first, fetches[i].second,
-                 [shared_cb, fetch_next, i](Status st) {
+                 [shared_cb, next](Status st) {
                    // A failed read-modify-write fetch must fail the write:
                    // applying over a zero-filled block and flushing later
                    // would overwrite the server's real bytes with zeros.
                    // The caller's retry wrapper recovers (reopen/failover)
                    // and the retried attempt re-fetches.
                    if (!st.is_ok()) return (*shared_cb)(st);
-                   (*fetch_next)(i + 1);
+                   next();
                  });
-  };
-  (*fetch_next)(0);
+  });
 }
 
 void FsClient::remote_read(FileId id, std::int64_t offset, std::int64_t len,
@@ -625,12 +604,8 @@ void FsClient::remote_read(FileId id, std::int64_t offset, std::int64_t len,
     std::int64_t remaining;
   };
   auto st = std::make_shared<State>(State{{}, offset, len});
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, id, st,
-           wself = std::weak_ptr<std::function<void()>>(step),
-           cb = std::move(cb)]() mutable {
-    auto step = wself.lock();  // weak self: see cached_read
-    SPRITE_CHECK(step != nullptr);
+  util::async_loop([this, id, st, cb = std::move(cb)](std::size_t,
+                                                      auto next) {
     if (st->remaining <= 0) return cb(std::move(st->out));
     const std::int64_t n = std::min(st->remaining, kMaxTransferUnit);
     auto body = std::make_shared<ReadReq>();
@@ -640,7 +615,7 @@ void FsClient::remote_read(FileId id, std::int64_t offset, std::int64_t len,
     body->gen = gen_for(id);
     c_remote_reads_->inc();
     rpc_.call(id.server, ServiceId::kFsIo, static_cast<int>(IoOp::kRead),
-              body, [st, step, n, cb](util::Result<Reply> r) mutable {
+              body, [st, next, n, cb](util::Result<Reply> r) {
                 if (!r.is_ok()) return cb(r.status());
                 if (!r->status.is_ok()) return cb(r->status);
                 auto rep = rpc::body_cast<ReadRep>(r->body);
@@ -651,10 +626,9 @@ void FsClient::remote_read(FileId id, std::int64_t offset, std::int64_t len,
                 st->remaining -= n;
                 if (static_cast<std::int64_t>(rep->data.size()) < n)
                   st->remaining = 0;  // EOF
-                (*step)();
+                next();
               });
-  };
-  (*step)();
+  });
 }
 
 void FsClient::remote_write(FileId id, std::int64_t offset, Bytes data,
@@ -665,12 +639,8 @@ void FsClient::remote_write(FileId id, std::int64_t offset, Bytes data,
     std::size_t written = 0;
   };
   auto st = std::make_shared<State>(State{std::move(data), offset, 0});
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [this, id, st,
-           wself = std::weak_ptr<std::function<void()>>(step),
-           cb = std::move(cb)]() mutable {
-    auto step = wself.lock();  // weak self: see cached_read
-    SPRITE_CHECK(step != nullptr);
+  util::async_loop([this, id, st, cb = std::move(cb)](std::size_t,
+                                                      auto next) {
     if (st->written >= st->data.size()) {
       auto fit = files_.find(id);
       if (fit != files_.end())
@@ -689,15 +659,14 @@ void FsClient::remote_write(FileId id, std::int64_t offset, Bytes data,
     body->gen = gen_for(id);
     c_remote_writes_->inc();
     rpc_.call(id.server, ServiceId::kFsIo, static_cast<int>(IoOp::kWrite),
-              body, [st, step, n, cb](util::Result<Reply> r) mutable {
+              body, [st, next, n, cb](util::Result<Reply> r) {
                 if (!r.is_ok()) return cb(r.status());
                 if (!r->status.is_ok()) return cb(r->status);
                 st->written += n;
                 st->pos += static_cast<std::int64_t>(n);
-                (*step)();
+                next();
               });
-  };
-  (*step)();
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -793,12 +762,8 @@ void FsClient::flush_file(FileId id, StatusCb cb) {
     return;
   }
 
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, id, runs,
-           wself = std::weak_ptr<std::function<void(std::size_t)>>(step),
-           cb = std::move(cb)](std::size_t i) mutable {
-    auto step = wself.lock();  // weak self: see cached_read
-    SPRITE_CHECK(step != nullptr);
+  util::async_loop([this, id, runs, cb = std::move(cb)](std::size_t i,
+                                                       auto next) {
     if (i >= runs->size()) {
       auto fit = files_.find(id);
       if (fit != files_.end()) {
@@ -815,7 +780,7 @@ void FsClient::flush_file(FileId id, StatusCb cb) {
     c_remote_writes_->inc();
     rpc_.call(id.server, ServiceId::kFsIo, static_cast<int>(IoOp::kWrite),
               body,
-              [this, id, runs, step, i, cb](util::Result<Reply> r) mutable {
+              [this, id, runs, next, i, cb](util::Result<Reply> r) {
                 const Status st = r.is_ok() ? r->status : r.status();
                 if (!st.is_ok()) {
                   // The dirty flags were cleared up front, so without
@@ -853,10 +818,9 @@ void FsClient::flush_file(FileId id, StatusCb cb) {
                   }
                   return cb(st);
                 }
-                (*step)(i + 1);
+                next();
               });
-  };
-  (*step)(0);
+  });
 }
 
 void FsClient::flush_run_failed(FileId id, std::int64_t first_blk,

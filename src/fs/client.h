@@ -258,17 +258,16 @@ class FsClient {
   // into `s`, and reports success so the caller can retry once. Pipes,
   // pdevs, and shadow-offset streams are unrecoverable.
   void recover_stale(const StreamPtr& s, StatusCb cb);
-  // Runs `(*attempt)(k)`; if it fails kStale, recovers the stream by path
+  // Runs `attempt(k)`; if it fails kStale, recovers the stream by path
   // and retries once. A second failure propagates. Shared by read()/write()
   // so the stale-retry policy lives in one place.
   template <typename T>
   void retry_once_on_stale(
       const StreamPtr& s,
-      std::shared_ptr<std::function<void(std::function<void(util::Result<T>)>)>>
-          attempt,
+      std::function<void(std::function<void(util::Result<T>)>)> attempt,
       std::function<void(util::Result<T>)> done) {
-    (*attempt)([this, s, attempt, done = std::move(done)](
-                   util::Result<T> r) mutable {
+    attempt([this, s, attempt, done = std::move(done)](
+                util::Result<T> r) mutable {
       const util::Err e = r.is_ok() ? util::Err::kOk : r.status().err();
       if (e == util::Err::kStale || e == util::Err::kNotPrimary) {
         // kStale: the server rebooted since this stream was opened.
@@ -276,10 +275,10 @@ class FsClient {
         // Either way: reopen by path (the prefix table routes to the
         // current primary) and retry once. A second failure propagates.
         if (e == util::Err::kNotPrimary) flip_route_away(s->file.server);
-        recover_stale(s, [attempt,
+        recover_stale(s, [attempt = std::move(attempt),
                           done = std::move(done)](util::Status rs) mutable {
           if (!rs.is_ok()) return done(rs);
-          (*attempt)(std::move(done));
+          attempt(std::move(done));
         });
         return;
       }
@@ -288,15 +287,16 @@ class FsClient {
         // flips our routes) fires just *after* parked calls are failed, so
         // defer a beat, then check whether a replica took over; if so this
         // is a failover, not an error the caller should see.
-        sim_.after(sim::Time::msec(1), [this, s, attempt, r = std::move(r),
+        sim_.after(sim::Time::msec(1), [this, s, attempt = std::move(attempt),
+                                        r = std::move(r),
                                         done = std::move(done)]() mutable {
           auto rt = route(s->path);
           if (!rt.is_ok() || *rt == s->file.server)
             return done(std::move(r));  // no replica took over: real timeout
-          recover_stale(s, [attempt,
+          recover_stale(s, [attempt = std::move(attempt),
                             done = std::move(done)](util::Status rs) mutable {
             if (!rs.is_ok()) return done(rs);
-            (*attempt)(std::move(done));
+            attempt(std::move(done));
           });
         });
         return;

@@ -4,6 +4,7 @@
 
 #include "kern/cluster.h"
 #include "util/assert.h"
+#include "util/async.h"
 
 namespace sprite::ls {
 
@@ -44,36 +45,32 @@ void ProbabilisticSelector::request_hosts(int n, GrantCb cb) {
   std::sort(cands.begin(), cands.end(),
             [](const Cand& a, const Cand& b) { return a.load < b.load; });
 
-  auto order = std::make_shared<std::vector<HostId>>();
-  for (const auto& c : cands) order->push_back(c.host);
+  std::vector<HostId> order;
+  for (const auto& c : cands) order.push_back(c.host);
   auto got = std::make_shared<std::vector<HostId>>();
-  try_reserve(order, 0, n, got, start, std::move(cb));
-}
-
-void ProbabilisticSelector::try_reserve(
-    std::shared_ptr<std::vector<HostId>> cands, std::size_t i, int want,
-    std::shared_ptr<std::vector<HostId>> got, Time start, GrantCb cb) {
-  if (static_cast<int>(got->size()) >= want || i >= cands->size()) {
-    note_grant_done(static_cast<std::int64_t>(got->size()),
-                    (host_.cluster().sim().now() - start).ms());
-    cb(*got);
-    return;
-  }
-  const HostId target = (*cands)[i];
-  auto body = std::make_shared<ReserveReq>();
-  body->requester = host_.id();
-  host_.rpc().call(
-      target, ServiceId::kLoadShare, static_cast<int>(LsOp::kReserve), body,
-      [this, cands, i, want, got, start, target,
-       cb = std::move(cb)](util::Result<Reply> r) mutable {
-        if (r.is_ok() && r->status.is_ok()) {
-          got->push_back(target);
-        } else {
-          // Our vector said idle; the host disagreed — stale information.
-          note_bad_grant();
-        }
-        try_reserve(cands, i + 1, want, got, start, std::move(cb));
-      });
+  util::async_loop([this, order = std::move(order), n, got, start,
+                    cb = std::move(cb)](std::size_t i, auto next) {
+    if (static_cast<int>(got->size()) >= n || i >= order.size()) {
+      note_grant_done(static_cast<std::int64_t>(got->size()),
+                      (host_.cluster().sim().now() - start).ms());
+      cb(*got);
+      return;
+    }
+    const HostId target = order[i];
+    auto body = std::make_shared<ReserveReq>();
+    body->requester = host_.id();
+    host_.rpc().call(
+        target, ServiceId::kLoadShare, static_cast<int>(LsOp::kReserve), body,
+        [this, got, target, next](util::Result<Reply> r) {
+          if (r.is_ok() && r->status.is_ok()) {
+            got->push_back(target);
+          } else {
+            // Our vector said idle; the host disagreed — stale information.
+            note_bad_grant();
+          }
+          next();
+        });
+  });
 }
 
 void ProbabilisticSelector::release_host(HostId h) {
@@ -117,37 +114,33 @@ void MulticastSelector::request_hosts(int n, GrantCb cb) {
       host_.cluster().costs().ls_multicast_backoff + Time::msec(15);
   host_.cluster().sim().after(window, [this, n, start, cb = std::move(cb)] {
     current_seq_ = 0;  // stop collecting
-    auto offers = std::make_shared<std::vector<HostId>>(std::move(offers_));
+    std::vector<HostId> offers = std::move(offers_);
     offers_.clear();
     auto got = std::make_shared<std::vector<HostId>>();
-    reserve_offers(offers, 0, n, got, start, std::move(cb));
+    util::async_loop([this, offers = std::move(offers), n, got, start,
+                      cb = std::move(cb)](std::size_t i, auto next) {
+      if (static_cast<int>(got->size()) >= n || i >= offers.size()) {
+        note_grant_done(static_cast<std::int64_t>(got->size()),
+                        (host_.cluster().sim().now() - start).ms());
+        cb(*got);
+        return;
+      }
+      const HostId target = offers[i];
+      auto body = std::make_shared<ReserveReq>();
+      body->requester = host_.id();
+      host_.rpc().call(
+          target, ServiceId::kLoadShare, static_cast<int>(LsOp::kReserve),
+          body, [this, got, target, next](util::Result<Reply> r) {
+            if (r.is_ok() && r->status.is_ok()) {
+              got->push_back(target);
+            } else {
+              // Another requester's query raced ours to this host.
+              note_bad_grant();
+            }
+            next();
+          });
+    });
   });
-}
-
-void MulticastSelector::reserve_offers(
-    std::shared_ptr<std::vector<HostId>> offers, std::size_t i, int want,
-    std::shared_ptr<std::vector<HostId>> got, Time start, GrantCb cb) {
-  if (static_cast<int>(got->size()) >= want || i >= offers->size()) {
-    note_grant_done(static_cast<std::int64_t>(got->size()),
-                    (host_.cluster().sim().now() - start).ms());
-    cb(*got);
-    return;
-  }
-  const HostId target = (*offers)[i];
-  auto body = std::make_shared<ReserveReq>();
-  body->requester = host_.id();
-  host_.rpc().call(
-      target, ServiceId::kLoadShare, static_cast<int>(LsOp::kReserve), body,
-      [this, offers, i, want, got, start, target,
-       cb = std::move(cb)](util::Result<Reply> r) mutable {
-        if (r.is_ok() && r->status.is_ok()) {
-          got->push_back(target);
-        } else {
-          // Another requester's query raced ours to this host.
-          note_bad_grant();
-        }
-        reserve_offers(offers, i + 1, want, got, start, std::move(cb));
-      });
 }
 
 void MulticastSelector::release_host(HostId h) {

@@ -35,11 +35,6 @@ class ProbabilisticSelector : public HostSelector {
   void release_host(sim::HostId h) override;
 
  private:
-  void try_reserve(std::shared_ptr<std::vector<sim::HostId>> cands,
-                   std::size_t i, int want,
-                   std::shared_ptr<std::vector<sim::HostId>> got,
-                   sim::Time start, GrantCb cb);
-
   kern::Host& host_;
   LoadShareNode& node_;
   std::function<bool(sim::HostId)> ground_truth_;
@@ -54,11 +49,6 @@ class MulticastSelector : public HostSelector {
   void release_host(sim::HostId h) override;
 
  private:
-  void reserve_offers(std::shared_ptr<std::vector<sim::HostId>> offers,
-                      std::size_t i, int want,
-                      std::shared_ptr<std::vector<sim::HostId>> got,
-                      sim::Time start, GrantCb cb);
-
   kern::Host& host_;
   LoadShareNode& node_;
   std::function<bool(sim::HostId)> ground_truth_;

@@ -6,6 +6,7 @@
 #include "kern/cluster.h"
 #include "loadshare/node.h"
 #include "util/assert.h"
+#include "util/async.h"
 
 namespace sprite::ls {
 
@@ -112,7 +113,7 @@ void SharedFileSelector::request_hosts(int n, GrantCb cb) {
         load_stream_, num_hosts_ * kLoadFileRecord,
         [this, n, start, cb = std::move(cb)](util::Result<Bytes> r) mutable {
           if (!r.is_ok()) return cb({});
-          auto cands = std::make_shared<std::vector<Candidate>>();
+          std::vector<Candidate> cands;
           const Time now = host_.cluster().sim().now();
           const Time max_age = host_.cluster().costs().ls_update_period * 3.0;
           const std::string all = to_string(*r);
@@ -130,39 +131,40 @@ void SharedFileSelector::request_hosts(int n, GrantCb cb) {
             if (!(in >> h >> idle >> load >> stamp)) continue;
             if (!idle || static_cast<HostId>(h) == host_.id()) continue;
             if (now - Time::usec(stamp) > max_age) continue;
-            cands->push_back({static_cast<HostId>(h), load});
+            cands.push_back({static_cast<HostId>(h), load});
           }
-          std::sort(cands->begin(), cands->end(),
+          std::sort(cands.begin(), cands.end(),
                     [](const Candidate& a, const Candidate& b) {
                       return a.load < b.load;
                     });
           auto got = std::make_shared<std::vector<HostId>>();
-          try_claim(cands, 0, n, got, start, std::move(cb));
+          util::async_loop([this, cands = std::move(cands), n, got, start,
+                            cb = std::move(cb)](std::size_t i, auto next) {
+            if (static_cast<int>(got->size()) >= n || i >= cands.size()) {
+              note_grant_done(static_cast<std::int64_t>(got->size()),
+                              (host_.cluster().sim().now() - start).ms());
+              if (ground_truth_) {
+                for (HostId h : *got)
+                  if (!ground_truth_(h)) note_bad_grant();
+              }
+              cb(*got);
+              return;
+            }
+            claim(cands[i].host, got, next);
+          });
         });
   });
 }
 
-void SharedFileSelector::try_claim(
-    std::shared_ptr<std::vector<Candidate>> cands, std::size_t i, int want,
-    std::shared_ptr<std::vector<HostId>> got, Time start, GrantCb cb) {
-  if (static_cast<int>(got->size()) >= want || i >= cands->size()) {
-    note_grant_done(static_cast<std::int64_t>(got->size()),
-                    (host_.cluster().sim().now() - start).ms());
-    if (ground_truth_) {
-      for (HostId h : *got)
-        if (!ground_truth_(h)) note_bad_grant();
-    }
-    cb(*got);
-    return;
-  }
-  const HostId target = (*cands)[i].host;
+void SharedFileSelector::claim(HostId target,
+                               std::shared_ptr<std::vector<HostId>> got,
+                               std::function<void()> then) {
   // Read the claim record first: someone may already hold the host.
   Status se = host_.fs().seek(claim_stream_, target * kLoadFileRecord);
   SPRITE_CHECK(se.is_ok());
   host_.fs().read(
       claim_stream_, kLoadFileRecord,
-      [this, cands, i, want, got, start, target,
-       cb = std::move(cb)](util::Result<Bytes> r) mutable {
+      [this, target, got, then](util::Result<Bytes> r) {
         long long claimant = -1, stamp = 0;
         if (r.is_ok() && !r->empty()) {
           std::istringstream in(to_string(*r));
@@ -171,10 +173,7 @@ void SharedFileSelector::try_claim(
         const Time now = host_.cluster().sim().now();
         const bool claimed =
             claimant >= 0 && now - Time::usec(stamp) <= Time::minutes(5);
-        if (claimed) {
-          try_claim(cands, i + 1, want, got, start, std::move(cb));
-          return;
-        }
+        if (claimed) return then();
         // Write our claim, then read it back: last-writer-wins, and the
         // window between our write and the verification read is exactly the
         // race the thesis holds against this architecture.
@@ -185,25 +184,21 @@ void SharedFileSelector::try_claim(
         SPRITE_CHECK(se2.is_ok());
         host_.fs().write(
             claim_stream_, pad_record(buf),
-            [this, cands, i, want, got, start, target,
-             cb = std::move(cb)](util::Result<std::int64_t> w) mutable {
-              if (!w.is_ok())
-                return try_claim(cands, i + 1, want, got, start,
-                                 std::move(cb));
+            [this, target, got, then](util::Result<std::int64_t> w) {
+              if (!w.is_ok()) return then();
               Status se3 =
                   host_.fs().seek(claim_stream_, target * kLoadFileRecord);
               SPRITE_CHECK(se3.is_ok());
               host_.fs().read(
                   claim_stream_, kLoadFileRecord,
-                  [this, cands, i, want, got, start, target,
-                   cb = std::move(cb)](util::Result<Bytes> rb) mutable {
+                  [this, target, got, then](util::Result<Bytes> rb) {
                     long long who = -1, st2 = 0;
                     if (rb.is_ok() && !rb->empty()) {
                       std::istringstream in(to_string(*rb));
                       in >> who >> st2;
                     }
                     if (who == host_.id()) got->push_back(target);
-                    try_claim(cands, i + 1, want, got, start, std::move(cb));
+                    then();
                   });
             });
       });

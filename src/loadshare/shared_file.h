@@ -71,9 +71,12 @@ class SharedFileSelector : public HostSelector {
     double load;
   };
   void ensure_open(std::function<void(util::Status)> then);
-  void try_claim(std::shared_ptr<std::vector<Candidate>> cands, std::size_t i,
-                 int want, std::shared_ptr<std::vector<sim::HostId>> got,
-                 sim::Time start, GrantCb cb);
+  // One step of the claim loop: reads `target`'s claim record and, if it is
+  // free, writes ours and reads it back, adding `target` to `got` when our
+  // claim stuck. Calls `then` when done either way.
+  void claim(sim::HostId target,
+             std::shared_ptr<std::vector<sim::HostId>> got,
+             std::function<void()> then);
 
   kern::Host& host_;
   std::string load_path_;

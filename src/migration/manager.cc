@@ -5,6 +5,7 @@
 #include "ckpt/manager.h"
 #include "kern/cluster.h"
 #include "util/assert.h"
+#include "util/async.h"
 #include "util/log.h"
 
 namespace sprite::mig {
@@ -324,47 +325,39 @@ void MigrationManager::start_streams_phase(std::uint64_t token,
   }
   std::vector<std::pair<int, fs::StreamPtr>> fds(pcb->fds.begin(),
                                                  pcb->fds.end());
-  transfer_streams(token, std::move(fds), 0, body.get(),
-                   [this, token, body] { send_transfer(token, body); });
-}
-
-void MigrationManager::transfer_streams(
-    std::uint64_t token, std::vector<std::pair<int, fs::StreamPtr>> fds,
-    std::size_t i, TransferReq* out, std::function<void()> done) {
-  if (i >= fds.size()) {
+  util::async_loop([this, token, fds = std::move(fds), body](std::size_t i,
+                                                             auto next) {
     auto it = outgoing_.find(token);
-    if (it != outgoing_.end()) {
-      it->second.rec.streams_moved = static_cast<std::int64_t>(fds.size());
-      it->second.rec.streams_done_at = host_.cluster().sim().now();
-      notify_stage(it->second.rec.pid, MigStage::kStreams);
+    if (i >= fds.size()) {
+      if (it != outgoing_.end()) {
+        it->second.rec.streams_moved = static_cast<std::int64_t>(fds.size());
+        it->second.rec.streams_done_at = host_.cluster().sim().now();
+        notify_stage(it->second.rec.pid, MigStage::kStreams);
+      }
+      send_transfer(token, body);  // revalidates the token
+      return;
     }
-    done();  // send_transfer revalidates the token
-    return;
-  }
-  auto it = outgoing_.find(token);
-  if (it == outgoing_.end()) return;
-  const auto [fd, stream] = fds[i];
-  const bool shared = stream->local_refs > 1;
-  const HostId target = it->second.target;
-  // Deencapsulating and reencapsulating a stream costs kernel CPU on top of
-  // the I/O-server RPC (the per-file component of experiment E1).
-  host_.cpu().submit(
-      sim::JobClass::kKernel, host_.cluster().costs().mig_stream_cpu,
-      [this, token, fds = std::move(fds), i, fd = fd, stream, shared, target,
-       out, done = std::move(done)]() mutable {
-        if (outgoing_.find(token) == outgoing_.end()) return;
-        host_.fs().export_stream(
-            stream, target, shared,
-            [this, token, fds = std::move(fds), i, fd = fd, stream, shared,
-             out,
-             done = std::move(done)](util::Result<fs::ExportedStream> r) mutable {
-              if (!r.is_ok()) return fail(token, r.status());
-              if (shared) --stream->local_refs;
-              out->streams.emplace_back(fd, std::move(*r));
-              transfer_streams(token, std::move(fds), i + 1, out,
-                               std::move(done));
-            });
-      });
+    if (it == outgoing_.end()) return;
+    const auto [fd, stream] = fds[i];
+    const bool shared = stream->local_refs > 1;
+    const HostId target = it->second.target;
+    // Deencapsulating and reencapsulating a stream costs kernel CPU on top
+    // of the I/O-server RPC (the per-file component of experiment E1).
+    host_.cpu().submit(
+        sim::JobClass::kKernel, host_.cluster().costs().mig_stream_cpu,
+        [this, token, fd = fd, stream = stream, shared, target, body, next] {
+          if (outgoing_.find(token) == outgoing_.end()) return;
+          host_.fs().export_stream(
+              stream, target, shared,
+              [this, token, fd, stream, shared, body,
+               next](util::Result<fs::ExportedStream> r) {
+                if (!r.is_ok()) return fail(token, r.status());
+                if (shared) --stream->local_refs;
+                body->streams.emplace_back(fd, std::move(*r));
+                next();
+              });
+        });
+  });
 }
 
 void MigrationManager::send_transfer(std::uint64_t token,

@@ -225,10 +225,6 @@ class MigrationManager : public proc::MigratorIface {
   void start_engine_transfer(std::uint64_t token);
   void start_streams_phase(std::uint64_t token,
                            std::shared_ptr<TransferReq> body);
-  void transfer_streams(std::uint64_t token,
-                        std::vector<std::pair<int, fs::StreamPtr>> fds,
-                        std::size_t i, TransferReq* out,
-                        std::function<void()> done);
   void send_transfer(std::uint64_t token,
                      std::shared_ptr<TransferReq> body);
   void fail(std::uint64_t token, util::Status why);

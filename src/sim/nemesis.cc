@@ -9,6 +9,7 @@
 #include "fs/client.h"
 #include "fs/server.h"
 #include "rpc/rpc.h"
+#include "util/async.h"
 
 namespace sprite::sim {
 
@@ -233,21 +234,16 @@ NemesisReport NemesisHarness::run() {
   // The checker needs its directory before round 0; retry until the create
   // lands (the schedule window starts at 5% of the horizon, so normally the
   // very first attempt succeeds).
-  auto mkdir_then_start = std::make_shared<std::function<void()>>();
-  *mkdir_then_start = [this, mkdir_then_start] {
-    cluster_->host(checker_host_).fs().mkdir(
-        "/nemesis", [this, mkdir_then_start](util::Status st) {
-          if (!st.is_ok() && st.err() != util::Err::kExist) {
-            cluster_->sim().after(Time::sec(5), [mkdir_then_start] {
-              (*mkdir_then_start)();
-            });
-            return;
-          }
-          checker_round(0);
+  util::async_loop([this](std::size_t attempt, auto next) {
+    cluster_->sim().after(
+        attempt == 0 ? Time::sec(1) : Time::sec(5), [this, next] {
+          cluster_->host(checker_host_).fs().mkdir(
+              "/nemesis", [this, next](util::Status st) {
+                if (!st.is_ok() && st.err() != util::Err::kExist)
+                  return next();
+                checker_round(0);
+              });
         });
-  };
-  cluster_->sim().after(Time::sec(1), [mkdir_then_start] {
-    (*mkdir_then_start)();
   });
 
   cluster_->run_until_done([this] {

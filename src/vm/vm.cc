@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assert.h"
+#include "util/async.h"
 #include "util/log.h"
 
 namespace sprite::vm {
@@ -164,25 +165,12 @@ void VmManager::adopt_space(const SpaceDescriptor& desc, SpaceCb cb) {
 void VmManager::open_backings(SpacePtr space, bool create_swap, SpaceCb cb) {
   // Open code read-only, heap/stack read-write, all bypassing the block
   // cache (VM traffic does not pollute the FS cache).
-  // Weak self-capture: a strong one would cycle and leak (see
-  // fs/client.cc cached_read for the idiom).
-  auto open_seg = std::make_shared<std::function<void(std::size_t)>>();
-  *open_seg = [this, space, create_swap,
-               wself = std::weak_ptr<std::function<void(std::size_t)>>(
-                   open_seg),
-               cb = std::move(cb)](std::size_t i) mutable {
-    auto open_seg = wself.lock();
-    SPRITE_CHECK(open_seg != nullptr);
-    if (i >= kAllSegments.size()) {
-      cb(space);
-      return;
-    }
+  util::async_loop([this, space, create_swap, cb = std::move(cb)](
+                       std::size_t i, auto next) {
+    if (i >= kAllSegments.size()) return cb(space);
     const Segment seg = kAllSegments[i];
     SegmentState& st = space->segment(seg);
-    if (st.pages == 0) {
-      (*open_seg)(i + 1);
-      return;
-    }
+    if (st.pages == 0) return next();
     OpenFlags flags;
     if (seg == Segment::kCode) {
       flags = OpenFlags::read_only();
@@ -192,13 +180,12 @@ void VmManager::open_backings(SpacePtr space, bool create_swap, SpaceCb cb) {
     }
     flags.no_cache = true;
     fs_.open(st.backing_path, flags,
-             [space, &st, open_seg, i, cb](util::Result<fs::StreamPtr> r) mutable {
+             [&st, next, cb](util::Result<fs::StreamPtr> r) {
                if (!r.is_ok()) return cb(r.status());
                st.backing = *r;
-               (*open_seg)(i + 1);
+               next();
              });
-  };
-  (*open_seg)(0);
+  });
 }
 
 void VmManager::touch(const SpacePtr& space, Segment seg, std::int64_t first,
@@ -251,80 +238,71 @@ void VmManager::touch(const SpacePtr& space, Segment seg, std::int64_t first,
   }
   sim_.trace().flight_note("vm.fault", segment_name(seg), self_, -1,
                            static_cast<std::int64_t>(runs.size()));
-  fault_runs(space, seg, std::move(runs), 0, std::move(cb));
-}
-
-void VmManager::fault_runs(
-    SpacePtr space, Segment seg,
-    std::vector<std::pair<std::int64_t, std::int64_t>> runs, std::size_t i,
-    StatusCb cb) {
-  if (i >= runs.size()) return cb(Status::ok());
-  SegmentState& st = space->segment(seg);
-  const auto [first, count] = runs[i];
-  const bool remote = st.in_remote[static_cast<std::size_t>(first)];
-  const bool backed = !remote && st.in_backing[static_cast<std::size_t>(first)];
-  c_faults_->inc(count);
-  if (trace::Registry& tr = sim_.trace(); tr.tracing())
-    tr.instant("vm", "page-in run", self_, -1,
-               {{"seg", segment_name(seg)},
-                {"first", std::to_string(first)},
-                {"count", std::to_string(count)},
-                {"source", remote ? "remote" : backed ? "backing" : "zero"}});
-
-  auto mark_resident = [this, space, seg, first = first, count = count, backed,
-                        remote] {
+  util::async_loop([this, space, seg, runs = std::move(runs),
+                    cb = std::move(cb)](std::size_t i, auto next) {
+    if (i >= runs.size()) return cb(Status::ok());
     SegmentState& st = space->segment(seg);
-    for (std::int64_t p = first; p < first + count; ++p) {
-      st.resident[static_cast<std::size_t>(p)] = true;
-      st.in_remote[static_cast<std::size_t>(p)] = false;
-    }
-    if (remote) {
-      c_from_remote_->inc(count);
-    } else if (backed) {
-      c_pages_in_->inc(count);
-    } else {
-      c_zero_fill_->inc(count);
-    }
-  };
+    const auto [first, count] = runs[i];
+    const bool remote = st.in_remote[static_cast<std::size_t>(first)];
+    const bool backed =
+        !remote && st.in_backing[static_cast<std::size_t>(first)];
+    c_faults_->inc(count);
+    if (trace::Registry& tr = sim_.trace(); tr.tracing())
+      tr.instant("vm", "page-in run", self_, -1,
+                 {{"seg", segment_name(seg)},
+                  {"first", std::to_string(first)},
+                  {"count", std::to_string(count)},
+                  {"source", remote ? "remote" : backed ? "backing" : "zero"}});
 
-  cpu_.submit(
-      JobClass::kKernel, costs_.vm_fault_cpu * count,
-      [this, space, seg, runs = std::move(runs), i, backed, remote,
-       first = first, count = count, mark_resident,
-       cb = std::move(cb)]() mutable {
-        SegmentState& st = space->segment(seg);
-        if (remote) {
-          // Copy-on-reference: pull the pages from the migration source.
-          auto pit = remote_pagers_.find(space->asid());
-          if (pit == remote_pagers_.end())
-            return cb(Status(Err::kInval, "remote pages without a pager"));
-          pit->second(seg, first, count,
-                      [this, space, seg, runs = std::move(runs), i,
-                       mark_resident, cb = std::move(cb)](Status s) mutable {
-                        if (!s.is_ok()) return cb(s);
-                        mark_resident();
-                        fault_runs(space, seg, std::move(runs), i + 1,
-                                   std::move(cb));
-                      });
-          return;
-        }
-        if (!backed) {
-          // Zero-fill: no I/O.
-          mark_resident();
-          fault_runs(space, seg, std::move(runs), i + 1, std::move(cb));
-          return;
-        }
-        const Status se = fs_.seek(st.backing, first * costs_.page_size);
-        SPRITE_CHECK(se.is_ok());
-        fs_.read(st.backing, count * costs_.page_size,
-                 [this, space, seg, runs = std::move(runs), i, mark_resident,
-                  cb = std::move(cb)](util::Result<fs::Bytes> r) mutable {
-                   if (!r.is_ok()) return cb(r.status());
-                   mark_resident();
-                   fault_runs(space, seg, std::move(runs), i + 1,
-                              std::move(cb));
-                 });
-      });
+    auto mark_resident = [this, space, seg, first = first, count = count,
+                          backed, remote] {
+      SegmentState& st = space->segment(seg);
+      for (std::int64_t p = first; p < first + count; ++p) {
+        st.resident[static_cast<std::size_t>(p)] = true;
+        st.in_remote[static_cast<std::size_t>(p)] = false;
+      }
+      if (remote) {
+        c_from_remote_->inc(count);
+      } else if (backed) {
+        c_pages_in_->inc(count);
+      } else {
+        c_zero_fill_->inc(count);
+      }
+    };
+
+    cpu_.submit(
+        JobClass::kKernel, costs_.vm_fault_cpu * count,
+        [this, space, seg, backed, remote, first = first, count = count,
+         mark_resident, next, cb] {
+          SegmentState& st = space->segment(seg);
+          if (remote) {
+            // Copy-on-reference: pull the pages from the migration source.
+            auto pit = remote_pagers_.find(space->asid());
+            if (pit == remote_pagers_.end())
+              return cb(Status(Err::kInval, "remote pages without a pager"));
+            pit->second(seg, first, count,
+                        [mark_resident, next, cb](Status s) {
+                          if (!s.is_ok()) return cb(s);
+                          mark_resident();
+                          next();
+                        });
+            return;
+          }
+          if (!backed) {
+            // Zero-fill: no I/O.
+            mark_resident();
+            return next();
+          }
+          const Status se = fs_.seek(st.backing, first * costs_.page_size);
+          SPRITE_CHECK(se.is_ok());
+          fs_.read(st.backing, count * costs_.page_size,
+                   [mark_resident, next, cb](util::Result<fs::Bytes> r) {
+                     if (!r.is_ok()) return cb(r.status());
+                     mark_resident();
+                     next();
+                   });
+        });
+  });
 }
 
 void VmManager::set_remote_pager(const SpacePtr& space, RemotePager pager) {
@@ -350,17 +328,9 @@ void VmManager::flush_dirty(const SpacePtr& space, StatusCb cb) {
   }
   sim_.trace().flight_note("vm.flush", "dirty", self_, -1, space->asid());
   // Flush heap then stack (code is never dirty).
-  auto flush_seg = std::make_shared<std::function<void(std::size_t)>>();
-  *flush_seg = [this, space,
-                wself = std::weak_ptr<std::function<void(std::size_t)>>(
-                    flush_seg),
-                cb = std::move(cb)](std::size_t si) mutable {
-    auto flush_seg = wself.lock();  // weak self: see open_backings
-    SPRITE_CHECK(flush_seg != nullptr);
-    if (si >= kAllSegments.size()) {
-      cb(Status::ok());
-      return;
-    }
+  util::async_loop([this, space, cb = std::move(cb)](std::size_t si,
+                                                     auto next_seg) {
+    if (si >= kAllSegments.size()) return cb(Status::ok());
     const Segment seg = kAllSegments[si];
     SegmentState& st = space->segment(seg);
     const auto& dirty = st.planes[DirtyPlane::kFlush];
@@ -373,49 +343,35 @@ void VmManager::flush_dirty(const SpacePtr& space, StatusCb cb) {
         runs.emplace_back(p, 1);
       }
     }
-    if (runs.empty()) {
-      (*flush_seg)(si + 1);
-      return;
-    }
-    flush_segment_runs(space, seg, std::move(runs), 0,
-                       [flush_seg, si, cb](Status s) mutable {
-                         if (!s.is_ok()) return cb(s);
-                         (*flush_seg)(si + 1);
-                       });
-  };
-  (*flush_seg)(0);
-}
-
-void VmManager::flush_segment_runs(
-    SpacePtr space, Segment seg,
-    std::vector<std::pair<std::int64_t, std::int64_t>> runs, std::size_t i,
-    StatusCb cb) {
-  if (i >= runs.size()) return cb(Status::ok());
-  SegmentState& st = space->segment(seg);
-  const auto [first, count] = runs[i];
-  const Status se = fs_.seek(st.backing, first * costs_.page_size);
-  SPRITE_CHECK(se.is_ok());
-  fs::Bytes zeros(static_cast<std::size_t>(count * costs_.page_size), 0);
-  fs_.write(st.backing, std::move(zeros),
-            [this, space, seg, runs = std::move(runs), i, first = first,
-             count = count, cb = std::move(cb)](
-                util::Result<std::int64_t> r) mutable {
-              if (!r.is_ok()) return cb(r.status());
-              SegmentState& st = space->segment(seg);
-              for (std::int64_t p = first; p < first + count; ++p) {
-                st.planes[DirtyPlane::kFlush][static_cast<std::size_t>(p)] =
-                    false;
-                st.in_backing[static_cast<std::size_t>(p)] = true;
-              }
-              c_flushed_->inc(count);
-              if (trace::Registry& tr = sim_.trace(); tr.tracing())
-                tr.instant("vm", "page flush", self_, -1,
-                           {{"seg", segment_name(seg)},
-                            {"first", std::to_string(first)},
-                            {"count", std::to_string(count)}});
-              flush_segment_runs(space, seg, std::move(runs), i + 1,
-                                 std::move(cb));
-            });
+    // Each segment's dirty runs in turn; an empty list moves straight on.
+    util::async_loop([this, space, seg, runs = std::move(runs), next_seg,
+                      cb](std::size_t i, auto next) {
+      if (i >= runs.size()) return next_seg();
+      SegmentState& st = space->segment(seg);
+      const auto [first, count] = runs[i];
+      const Status se = fs_.seek(st.backing, first * costs_.page_size);
+      SPRITE_CHECK(se.is_ok());
+      fs::Bytes zeros(static_cast<std::size_t>(count * costs_.page_size), 0);
+      fs_.write(st.backing, std::move(zeros),
+                [this, space, seg, first = first, count = count, next,
+                 cb](util::Result<std::int64_t> r) {
+                  if (!r.is_ok()) return cb(r.status());
+                  SegmentState& st = space->segment(seg);
+                  for (std::int64_t p = first; p < first + count; ++p) {
+                    st.planes[DirtyPlane::kFlush]
+                             [static_cast<std::size_t>(p)] = false;
+                    st.in_backing[static_cast<std::size_t>(p)] = true;
+                  }
+                  c_flushed_->inc(count);
+                  if (trace::Registry& tr = sim_.trace(); tr.tracing())
+                    tr.instant("vm", "page flush", self_, -1,
+                               {{"seg", segment_name(seg)},
+                                {"first", std::to_string(first)},
+                                {"count", std::to_string(count)}});
+                  next();
+                });
+    });
+  });
 }
 
 void VmManager::invalidate(const SpacePtr& space) {
@@ -464,74 +420,42 @@ void VmManager::note_staged(const SpacePtr& space, Segment seg,
 }
 
 void VmManager::release_space(SpacePtr space, StatusCb cb) {
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, space,
-           wself = std::weak_ptr<std::function<void(std::size_t)>>(step),
-           cb = std::move(cb)](std::size_t i) mutable {
-    auto step = wself.lock();  // weak self: see open_backings
-    SPRITE_CHECK(step != nullptr);
-    if (i >= kAllSegments.size()) {
-      cb(Status::ok());
-      return;
-    }
+  util::async_loop([this, space, cb = std::move(cb)](std::size_t i,
+                                                     auto next) {
+    if (i >= kAllSegments.size()) return cb(Status::ok());
     SegmentState& st = space->segment(kAllSegments[i]);
-    if (!st.backing) {
-      (*step)(i + 1);
-      return;
-    }
-    fs_.close(st.backing, [space, step, i, &st](Status) {
+    if (!st.backing) return next();
+    fs_.close(st.backing, [&st, next](Status) {
       st.backing = nullptr;
-      (*step)(i + 1);
+      next();
     });
-  };
-  (*step)(0);
+  });
 }
 
 void VmManager::destroy_space(SpacePtr space, StatusCb cb) {
   // Close all paging streams, then unlink the swap files.
-  auto step = std::make_shared<std::function<void(std::size_t)>>();
-  *step = [this, space,
-           wself = std::weak_ptr<std::function<void(std::size_t)>>(step),
-           cb = std::move(cb)](std::size_t i) mutable {
-    auto step = wself.lock();  // weak self: see open_backings
-    SPRITE_CHECK(step != nullptr);
+  util::async_loop([this, space, cb = std::move(cb)](std::size_t i,
+                                                     auto next) mutable {
     if (i >= kAllSegments.size()) {
       // Unlink swap files (heap, stack).
-      auto unlink_next =
-          std::make_shared<std::function<void(std::size_t)>>();
-      *unlink_next = [this, space,
-                      wuself = std::weak_ptr<std::function<void(std::size_t)>>(
-                          unlink_next),
-                      cb = std::move(cb)](std::size_t j) mutable {
-        auto unlink_next = wuself.lock();
-        SPRITE_CHECK(unlink_next != nullptr);
-        if (j >= kAllSegments.size()) {
-          cb(Status::ok());
-          return;
-        }
+      util::async_loop([this, space, cb = std::move(cb)](std::size_t j,
+                                                         auto next) {
+        if (j >= kAllSegments.size()) return cb(Status::ok());
         const Segment seg = kAllSegments[j];
-        if (seg == Segment::kCode || space->segment(seg).pages == 0) {
-          (*unlink_next)(j + 1);
-          return;
-        }
+        if (seg == Segment::kCode || space->segment(seg).pages == 0)
+          return next();
         fs_.unlink(space->segment(seg).backing_path,
-                   [unlink_next, j](Status) { (*unlink_next)(j + 1); });
-      };
-      (*unlink_next)(0);
+                   [next](Status) { next(); });
+      });
       return;
     }
-    const Segment seg = kAllSegments[i];
-    SegmentState& st = space->segment(seg);
-    if (!st.backing) {
-      (*step)(i + 1);
-      return;
-    }
-    fs_.close(st.backing, [space, step, i, &st](Status) {
+    SegmentState& st = space->segment(kAllSegments[i]);
+    if (!st.backing) return next();
+    fs_.close(st.backing, [&st, next](Status) {
       st.backing = nullptr;
-      (*step)(i + 1);
+      next();
     });
-  };
-  (*step)(0);
+  });
 }
 
 }  // namespace sprite::vm

@@ -237,13 +237,6 @@ class VmManager {
   void release_space(SpacePtr space, StatusCb cb);
 
  private:
-  // Pages in the missing pages of one run, then continues.
-  void fault_runs(SpacePtr space, Segment seg,
-                  std::vector<std::pair<std::int64_t, std::int64_t>> runs,
-                  std::size_t i, StatusCb cb);
-  void flush_segment_runs(SpacePtr space, Segment seg,
-                          std::vector<std::pair<std::int64_t, std::int64_t>> runs,
-                          std::size_t i, StatusCb cb);
   std::string swap_path(std::int64_t asid, Segment seg) const;
   void open_backings(SpacePtr space, bool create_swap, SpaceCb cb);
 

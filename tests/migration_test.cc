@@ -222,7 +222,22 @@ TEST_F(MigrationTest, TransparencyTraceIdenticalWithAndWithoutMigration) {
           return proc::SysGetPid{};
         })
         .act(proc::Pause{Time::sec(1)})  // migration point
-        .act(proc::SysGetHostName{})
+        // Name-space calls after the move run against the same file
+        // server and must report the same results.
+        .act(proc::SysMkdir{outfile + ".d"})
+        .step([](ScriptProgram::Ctx& c) {
+          c.note("mkdir " + c.view->status.to_string());
+          return proc::SysStat{"/input"};
+        })
+        .step([outfile](ScriptProgram::Ctx& c) {
+          c.note("stat " + c.view->status.to_string() + " " +
+                 std::to_string(c.view->rv));
+          return proc::SysUnlink{outfile + ".d"};
+        })
+        .step([](ScriptProgram::Ctx& c) {
+          c.note("unlink " + c.view->status.to_string());
+          return proc::SysGetHostName{};
+        })
         .step([outfile](ScriptProgram::Ctx& c) {
           c.note(c.view->text);
           return proc::SysOpen{outfile, fs::OpenFlags::create_rw()};
@@ -281,6 +296,8 @@ TEST_F(MigrationTest, TransparencyTraceIdenticalWithAndWithoutMigration) {
   EXPECT_EQ(local, migrated);
   EXPECT_NE(local.find(cluster_.host(ws(0)).name()), std::string::npos)
       << "hostname must be the home machine's, got: " << local;
+  EXPECT_NE(local.find("mkdir OK;stat OK 5;unlink OK;"), std::string::npos)
+      << local;
 }
 
 TEST_F(MigrationTest, ForeignProcessVisibleAndEvictable) {

@@ -1,13 +1,14 @@
 // Host-monitor (src/recov/) unit tests: the up/suspect/down state machine
 // driven purely by observable evidence — echo probes, exhausted RPC
 // retransmissions, and boot-epoch jumps — plus call parking/resumption and
-// the source-tree quarantine that keeps simulator ground truth out of the
-// kernel subsystems.
+// the source-tree lints that keep simulator ground truth out of the kernel
+// subsystems and hand-written self-referencing callback loops out of src/.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -351,6 +352,45 @@ TEST(GroundTruthQuarantineTest, NoLivenessQueriesOutsideQuarantine) {
   }
   EXPECT_TRUE(violations.empty())
       << "ground-truth liveness consulted outside src/sim|recov|kern/cluster:"
+      << [&] {
+           std::ostringstream os;
+           for (const auto& v : violations) os << "\n  " << v;
+           return os.str();
+         }();
+}
+
+// Callback loops go through util::async_loop (src/util/async.h), whose state
+// is owned only by its pending continuations. The hand-written idiom it
+// replaced, a default-constructed shared std::function assigned a closure
+// that refers back to itself through a weak (or, by mistake, a strong)
+// pointer, is one slip away from a shared_ptr cycle; keep it out of src/.
+TEST(AsyncLoopLintTest, NoSelfReferencingStepClosures) {
+  namespace fs = std::filesystem;
+  const fs::path src = fs::path(SPRITE_SOURCE_DIR) / "src";
+  ASSERT_TRUE(fs::exists(src)) << src;
+
+  const std::regex weak_fn(R"(weak_ptr<\s*std::function)");
+  const std::regex empty_shared_fn(R"(make_shared<\s*std::function<.*>>\(\))");
+  std::vector<std::string> violations;
+  for (const auto& entry : fs::recursive_directory_iterator(src)) {
+    if (!entry.is_regular_file()) continue;
+    const fs::path& p = entry.path();
+    const std::string ext = p.extension().string();
+    if (ext != ".cc" && ext != ".h") continue;
+    const std::string rel = fs::relative(p, src).string();
+
+    std::ifstream in(p);
+    std::string line;
+    int lineno = 0;
+    while (std::getline(in, line)) {
+      ++lineno;
+      if (std::regex_search(line, weak_fn) ||
+          std::regex_search(line, empty_shared_fn))
+        violations.push_back(rel + ":" + std::to_string(lineno) + ": " + line);
+    }
+  }
+  EXPECT_TRUE(violations.empty())
+      << "self-referencing step closure; use util::async_loop instead:"
       << [&] {
            std::ostringstream os;
            for (const auto& v : violations) os << "\n  " << v;

@@ -1,8 +1,13 @@
-// Unit tests for util: Status/Result, Rng, stats, Table.
+// Unit tests for util: Status/Result, Rng, stats, Table, async_loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <vector>
 
+#include "sim/simulator.h"
+#include "util/async.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -137,6 +142,78 @@ TEST(Table, FormatsAlignedGrid) {
   const std::string s = t.to_string();
   EXPECT_NE(s.find("| host       | load |"), std::string::npos);
   EXPECT_NE(s.find("| fileserver | 1.50 |"), std::string::npos);
+}
+
+TEST(AsyncLoop, SynchronousNextRunsStepsInOrder) {
+  std::vector<std::size_t> steps;
+  bool ended = false;
+  async_loop([&](std::size_t i, auto next) {
+    steps.push_back(i);
+    if (i == 4) {
+      ended = true;
+      return;
+    }
+    next();
+  });
+  EXPECT_TRUE(ended);  // a synchronous loop finishes inside the call
+  EXPECT_EQ(steps, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(AsyncLoop, DeferredNextRunsStepsInOrder) {
+  sim::Simulator sim;
+  std::vector<std::pair<std::size_t, std::int64_t>> steps;  // (i, now us)
+  async_loop([&](std::size_t i, auto next) {
+    steps.emplace_back(i, sim.now().us());
+    if (i >= 3) return;
+    sim.after(sim::Time::msec(10), [next] { next(); });
+  });
+  // Only step 0 ran so far; the rest wait on their completion events.
+  ASSERT_EQ(steps.size(), 1u);
+  sim.run();
+  EXPECT_EQ(steps, (std::vector<std::pair<std::size_t, std::int64_t>>{
+                       {0, 0}, {1, 10000}, {2, 20000}, {3, 30000}}));
+}
+
+TEST(AsyncLoop, EndsWhenBodyReturnsWithoutNext) {
+  sim::Simulator sim;
+  int runs = 0;
+  async_loop([&](std::size_t i, auto next) {
+    ++runs;
+    // Step 2 schedules a completion that does not continue the loop.
+    sim.after(sim::Time::msec(1), [i, next] {
+      if (i < 2) next();
+    });
+  });
+  sim.run();
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(sim.now(), sim::Time::msec(3));  // step 2's completion was last
+}
+
+TEST(AsyncLoop, StateIsFreedWhenTheLoopEnds) {
+  sim::Simulator sim;
+  auto sentinel = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = sentinel;
+  async_loop([&sim, sentinel = std::move(sentinel)](std::size_t i,
+                                                    auto next) {
+    if (i >= 2) return;
+    sim.after(sim::Time::msec(1), [next] { next(); });
+  });
+  EXPECT_FALSE(watch.expired());  // step 1 is pending and holds the state
+  sim.run();
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(AsyncLoop, StateIsFreedWhenThePendingNextIsDropped) {
+  auto sentinel = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = sentinel;
+  std::function<void()> pending;
+  async_loop([&pending, sentinel = std::move(sentinel)](std::size_t,
+                                                        auto next) {
+    pending = next;  // a completion that will never fire
+  });
+  EXPECT_FALSE(watch.expired());
+  pending = nullptr;  // e.g. the RPC it waited on was abandoned
+  EXPECT_TRUE(watch.expired());
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 
 #include "kern/cluster.h"
 #include "loadshare/facility.h"
+#include "proc/script.h"
+#include "proc/table.h"
 #include "sim/time.h"
+#include "workload/audit.h"
 #include "workload/engine.h"
 #include "workload/session.h"
 #include "workload/trace_file.h"
@@ -233,6 +236,76 @@ TEST(EngineTest, RunsWithoutAFacility) {
   cluster.run_until_done([&] { return engine.drained(); });
   const auto sum = engine.summary();
   EXPECT_EQ(sum.jobs_finished, sum.jobs_submitted);
+}
+
+// ---------------------------------------------------------------------------
+// Incarnation audit failure branches
+// ---------------------------------------------------------------------------
+
+// Spawns a long computation on `home` and returns its pid.
+proc::Pid spawn_burner(Cluster& cluster, HostId home) {
+  proc::Pid pid = proc::kInvalidPid;
+  cluster.host(home).procs().spawn(
+      "/bin/burn", {}, [&](util::Result<proc::Pid> r) {
+        EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+        if (r.is_ok()) pid = *r;
+      });
+  cluster.run_until_done([&] { return pid != proc::kInvalidPid; });
+  return pid;
+}
+
+bool mentions(const AuditResult& r, const std::string& needle) {
+  for (const auto& p : r.problems)
+    if (p.find(needle) != std::string::npos) return true;
+  return false;
+}
+
+TEST(AuditTest, FlagsLostJobsDuplicatesAndStaleIncarnations) {
+  Cluster cluster({.num_workstations = 3, .num_file_servers = 1});
+  proc::ScriptBuilder burn;
+  burn.compute(Time::hours(1)).exit(0);
+  ASSERT_TRUE(cluster.install_program("/bin/burn", burn.image()).is_ok());
+  const HostId home = cluster.workstations()[0];
+  const HostId other = cluster.workstations()[1];
+  const proc::Pid dup = spawn_burner(cluster, home);
+  const proc::Pid ghost = spawn_burner(cluster, home);
+
+  // Clean state: one copy of each pid, every job terminal.
+  Engine::JobRecord done;
+  done.id = 1;
+  done.home = home;
+  done.pid = dup;
+  done.state = Engine::JobRecord::State::kFinished;
+  EXPECT_TRUE(audit_incarnations(cluster, {done}).ok());
+
+  // A job still running when the audit runs was never accounted for.
+  Engine::JobRecord running = done;
+  running.id = 2;
+  running.state = Engine::JobRecord::State::kRunning;
+  AuditResult r = audit_incarnations(cluster, {done, running});
+  EXPECT_EQ(r.lost, 1);
+  EXPECT_EQ(r.duplicated, 0);
+  EXPECT_TRUE(mentions(r, "job 2 "));
+
+  // One pid resident on two running hosts.
+  cluster.host(other).procs().install_and_resume(
+      cluster.host(home).procs().find(dup));
+  r = audit_incarnations(cluster, {done});
+  EXPECT_EQ(r.lost, 0);
+  EXPECT_EQ(r.duplicated, 1);
+  EXPECT_TRUE(mentions(r, "pid " + std::to_string(dup) + " resident on 2"));
+
+  // The home restarts `ghost` from a checkpoint: the resident copy still
+  // carries the old epoch.
+  auto bumped = cluster.host(home).procs().bump_incarnation(ghost);
+  ASSERT_TRUE(bumped.is_ok());
+  r = audit_incarnations(cluster, {done});
+  EXPECT_EQ(r.duplicated, 2);
+  EXPECT_TRUE(mentions(r, "pid " + std::to_string(ghost) + " on host" +
+                              std::to_string(home) +
+                              " carries stale incarnation 0 (home says " +
+                              std::to_string(*bumped) + ")"));
+  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace
