@@ -25,6 +25,27 @@ void BM_EventQueueScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleFire);
 
+// RPC's timer pattern: each call arms a retransmission timeout, the reply
+// arrives first and cancels it, so every other event is a cancelled one.
+void BM_EventQueueTimeoutCancel(benchmark::State& state) {
+  for (auto _ : state) {
+    sprite::sim::Simulator sim;
+    int replies = 0;
+    for (int i = 0; i < 1000; ++i) {
+      sprite::sim::EventHandle timeout =
+          sim.after(Time::sec(1), "rpc_timeout", [] {});
+      sim.after(Time::usec(i), "rpc_callback", [timeout, &replies]() mutable {
+        timeout.cancel();
+        ++replies;
+      });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(replies);
+  }
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_EventQueueTimeoutCancel);
+
 void BM_RpcRoundTrips(benchmark::State& state) {
   for (auto _ : state) {
     sprite::kern::Cluster cluster(

@@ -15,15 +15,60 @@ using sim::Time;
 using util::Status;
 
 // ---------------------------------------------------------------------------
+// ReservingSelector
+// ---------------------------------------------------------------------------
+
+ReservingSelector::ReservingSelector(kern::Host& host) : host_(host) {
+  bind_metrics(host_.cluster().sim().trace(), host_.id());
+}
+
+void ReservingSelector::reserve_in_order(std::vector<HostId> order, int n,
+                                         Time start, GrantCb cb) {
+  auto got = std::make_shared<std::vector<HostId>>();
+  util::async_loop([this, order = std::move(order), n, got, start,
+                    cb = std::move(cb)](std::size_t i, auto next) {
+    if (static_cast<int>(got->size()) >= n || i >= order.size()) {
+      note_grant_done(static_cast<std::int64_t>(got->size()),
+                      (host_.cluster().sim().now() - start).ms());
+      cb(*got);
+      return;
+    }
+    const HostId target = order[i];
+    auto body = std::make_shared<ReserveReq>();
+    body->requester = host_.id();
+    host_.rpc().call(
+        target, ServiceId::kLoadShare, static_cast<int>(LsOp::kReserve), body,
+        [this, got, target, next](util::Result<Reply> r) {
+          if (r.is_ok() && r->status.is_ok()) {
+            got->push_back(target);
+          } else {
+            // The host refused: our information was stale, or another
+            // requester claimed it first.
+            note_bad_grant();
+          }
+          next();
+        });
+  });
+}
+
+void ReservingSelector::release_host(HostId h) {
+  auto body = std::make_shared<ReserveReq>();
+  body->requester = host_.id();
+  host_.rpc().call(h, ServiceId::kLoadShare,
+                   static_cast<int>(LsOp::kRelease), body,
+                   [](util::Result<Reply>) {});
+}
+
+// ---------------------------------------------------------------------------
 // ProbabilisticSelector
 // ---------------------------------------------------------------------------
 
 ProbabilisticSelector::ProbabilisticSelector(
     kern::Host& host, LoadShareNode& node,
     std::function<bool(sim::HostId)> ground_truth_idle)
-    : host_(host), node_(node), ground_truth_(std::move(ground_truth_idle)) {
-  bind_metrics(host_.cluster().sim().trace(), host_.id());
-}
+    : ReservingSelector(host),
+      node_(node),
+      ground_truth_(std::move(ground_truth_idle)) {}
 
 void ProbabilisticSelector::request_hosts(int n, GrantCb cb) {
   note_request();
@@ -47,38 +92,7 @@ void ProbabilisticSelector::request_hosts(int n, GrantCb cb) {
 
   std::vector<HostId> order;
   for (const auto& c : cands) order.push_back(c.host);
-  auto got = std::make_shared<std::vector<HostId>>();
-  util::async_loop([this, order = std::move(order), n, got, start,
-                    cb = std::move(cb)](std::size_t i, auto next) {
-    if (static_cast<int>(got->size()) >= n || i >= order.size()) {
-      note_grant_done(static_cast<std::int64_t>(got->size()),
-                      (host_.cluster().sim().now() - start).ms());
-      cb(*got);
-      return;
-    }
-    const HostId target = order[i];
-    auto body = std::make_shared<ReserveReq>();
-    body->requester = host_.id();
-    host_.rpc().call(
-        target, ServiceId::kLoadShare, static_cast<int>(LsOp::kReserve), body,
-        [this, got, target, next](util::Result<Reply> r) {
-          if (r.is_ok() && r->status.is_ok()) {
-            got->push_back(target);
-          } else {
-            // Our vector said idle; the host disagreed — stale information.
-            note_bad_grant();
-          }
-          next();
-        });
-  });
-}
-
-void ProbabilisticSelector::release_host(HostId h) {
-  auto body = std::make_shared<ReserveReq>();
-  body->requester = host_.id();
-  host_.rpc().call(h, ServiceId::kLoadShare,
-                   static_cast<int>(LsOp::kRelease), body,
-                   [](util::Result<Reply>) {});
+  reserve_in_order(std::move(order), n, start, std::move(cb));
 }
 
 // ---------------------------------------------------------------------------
@@ -88,8 +102,9 @@ void ProbabilisticSelector::release_host(HostId h) {
 MulticastSelector::MulticastSelector(
     kern::Host& host, LoadShareNode& node,
     std::function<bool(sim::HostId)> ground_truth_idle)
-    : host_(host), node_(node), ground_truth_(std::move(ground_truth_idle)) {
-  bind_metrics(host_.cluster().sim().trace(), host_.id());
+    : ReservingSelector(host),
+      node_(node),
+      ground_truth_(std::move(ground_truth_idle)) {
   node_.set_offer_sink([this](const OfferReq& offer) {
     if (offer.seq != current_seq_) return;  // stale query
     offers_.push_back(offer.host);
@@ -116,39 +131,8 @@ void MulticastSelector::request_hosts(int n, GrantCb cb) {
     current_seq_ = 0;  // stop collecting
     std::vector<HostId> offers = std::move(offers_);
     offers_.clear();
-    auto got = std::make_shared<std::vector<HostId>>();
-    util::async_loop([this, offers = std::move(offers), n, got, start,
-                      cb = std::move(cb)](std::size_t i, auto next) {
-      if (static_cast<int>(got->size()) >= n || i >= offers.size()) {
-        note_grant_done(static_cast<std::int64_t>(got->size()),
-                        (host_.cluster().sim().now() - start).ms());
-        cb(*got);
-        return;
-      }
-      const HostId target = offers[i];
-      auto body = std::make_shared<ReserveReq>();
-      body->requester = host_.id();
-      host_.rpc().call(
-          target, ServiceId::kLoadShare, static_cast<int>(LsOp::kReserve),
-          body, [this, got, target, next](util::Result<Reply> r) {
-            if (r.is_ok() && r->status.is_ok()) {
-              got->push_back(target);
-            } else {
-              // Another requester's query raced ours to this host.
-              note_bad_grant();
-            }
-            next();
-          });
-    });
+    reserve_in_order(std::move(offers), n, start, std::move(cb));
   });
-}
-
-void MulticastSelector::release_host(HostId h) {
-  auto body = std::make_shared<ReserveReq>();
-  body->requester = host_.id();
-  host_.rpc().call(h, ServiceId::kLoadShare,
-                   static_cast<int>(LsOp::kRelease), body,
-                   [](util::Result<Reply>) {});
 }
 
 }  // namespace sprite::ls

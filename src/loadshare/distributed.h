@@ -26,30 +26,44 @@ class Host;
 
 namespace sprite::ls {
 
-class ProbabilisticSelector : public HostSelector {
+// What both distributed architectures share: they pick candidates locally,
+// then claim them with kReserve RPCs one at a time, and release the same way.
+class ReservingSelector : public HostSelector {
+ public:
+  void release_host(sim::HostId h) override;
+
+ protected:
+  explicit ReservingSelector(kern::Host& host);
+
+  // Reserves hosts from `order`, in order, until `n` are granted or the
+  // candidates run out; a refusal counts as a bad grant. Then records the
+  // grant (latency measured from `start`) and calls `cb` once.
+  void reserve_in_order(std::vector<sim::HostId> order, int n, sim::Time start,
+                        GrantCb cb);
+
+  kern::Host& host_;
+};
+
+class ProbabilisticSelector : public ReservingSelector {
  public:
   ProbabilisticSelector(kern::Host& host, LoadShareNode& node,
                         std::function<bool(sim::HostId)> ground_truth_idle);
 
   void request_hosts(int n, GrantCb cb) override;
-  void release_host(sim::HostId h) override;
 
  private:
-  kern::Host& host_;
   LoadShareNode& node_;
   std::function<bool(sim::HostId)> ground_truth_;
 };
 
-class MulticastSelector : public HostSelector {
+class MulticastSelector : public ReservingSelector {
  public:
   MulticastSelector(kern::Host& host, LoadShareNode& node,
                     std::function<bool(sim::HostId)> ground_truth_idle);
 
   void request_hosts(int n, GrantCb cb) override;
-  void release_host(sim::HostId h) override;
 
  private:
-  kern::Host& host_;
   LoadShareNode& node_;
   std::function<bool(sim::HostId)> ground_truth_;
   std::int64_t next_seq_ = 1;

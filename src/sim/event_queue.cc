@@ -1,39 +1,66 @@
 #include "sim/event_queue.h"
 
-#include "util/assert.h"
+#include <algorithm>
+#include <functional>
 
 namespace sprite::sim {
 
-EventHandle EventQueue::schedule(Time at, const char* label,
-                                 std::function<void()> fn) {
-  auto alive = std::make_shared<bool>(true);
-  pq_.push(Entry{at, next_seq_++, label, alive, std::move(fn)});
-  return EventHandle(alive);
+EventQueue::~EventQueue() {
+  // Mark every slot not pending before any callable is destroyed: a
+  // captured object's destructor may still cancel a handle into this queue.
+  for (std::uint32_t s = 0; s < slots_; ++s) event(s).seq = 0;
+  for (std::uint32_t s = 0; s < slots_; ++s) event(s).fn.reset();
 }
 
-void EventQueue::drop_dead() const {
-  while (!pq_.empty() && !*pq_.top().alive) pq_.pop();
+std::uint32_t EventQueue::acquire() {
+  if (!free_.empty()) {
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    return slot;
+  }
+  SPRITE_CHECK_MSG(slots_ <= kSlotMask, "event slot pool exhausted");
+  if (slots_ % kChunkSize == 0)
+    chunks_.push_back(std::make_unique<Event[]>(kChunkSize));
+  return slots_++;
 }
 
-bool EventQueue::empty() const {
+EventHandle EventQueue::arm(std::uint32_t slot, Time at) {
+  const std::uint64_t seq = next_seq_++;
+  SPRITE_CHECK_MSG(seq < (std::uint64_t{1} << (64 - kSlotBits)),
+                   "event sequence space exhausted");
+  event(slot).seq = seq;
+  heap_.push_back(Key{at, seq << kSlotBits | slot});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  return EventHandle(this, slot, seq);
+}
+
+void EventQueue::pop_key() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+  heap_.pop_back();
+}
+
+EventQueue::Popped EventQueue::pop() {
   drop_dead();
-  return pq_.empty();
+  SPRITE_CHECK_MSG(!heap_.empty(), "pop on empty queue");
+  const Key top = heap_.front();
+  pop_key();
+  const auto slot = static_cast<std::uint32_t>(top.tag & kSlotMask);
+  event(slot).seq = 0;  // fired events are no longer pending
+  return {top.at, slot};
 }
 
-Time EventQueue::next_time() const {
-  drop_dead();
-  SPRITE_CHECK_MSG(!pq_.empty(), "next_time on empty queue");
-  return pq_.top().at;
+void EventQueue::release(std::uint32_t slot) {
+  event(slot).fn.reset();
+  free_.push_back(slot);
 }
 
-EventQueue::Fired EventQueue::pop() {
-  drop_dead();
-  SPRITE_CHECK_MSG(!pq_.empty(), "pop on empty queue");
-  const Entry& top = pq_.top();
-  *top.alive = false;  // fired events are no longer pending
-  Fired out{top.at, top.label, std::move(top.fn)};
-  pq_.pop();
-  return out;
+void EventQueue::cancel(std::uint32_t slot, std::uint64_t seq) {
+  Event& e = event(slot);
+  if (e.seq != seq) return;
+  // Not pending from here on, so a re-entrant cancel from the callable's
+  // destructor is a no-op; the slot is reusable only once it is destroyed.
+  e.seq = 0;
+  release(slot);
 }
 
 }  // namespace sprite::sim

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <map>
+#include <utility>
 
 namespace sprite::sim {
 
@@ -19,18 +19,44 @@ double now_ns() {
 
 }  // namespace
 
-void EngineProfiler::record(const char* label, double ns) {
-  LabelStats& s = stats_[label];
-  if (s.fired == 0) s.label = label;
-  ++s.fired;
-  ++events_;
-  if (ns >= 0.0) {
-    s.total_ns += ns;
-    total_ns_ += ns;
-    std::size_t b = 0;
-    while (b < kCostBoundsNs.size() && ns >= kCostBoundsNs[b]) ++b;
-    ++s.cost_buckets[b];
+std::uint32_t EngineProfiler::add_label(const char* label) {
+  // Duplicate string literals in different translation units may not share
+  // an address: a new pointer with a known spelling joins that type.
+  std::uint32_t type = 0;
+  while (type < types_.size() && std::strcmp(types_[type].stats.label, label))
+    ++type;
+  if (type == types_.size()) {
+    types_.emplace_back();
+    types_.back().stats.label = label;
   }
+  if (2 * (pointers_ + 1) > probe_.size()) {
+    const std::vector<Probe> old =
+        std::exchange(probe_, std::vector<Probe>(2 * probe_.size()));
+    --probe_shift_;
+    for (const Probe& p : old)
+      if (p.label != nullptr) insert_probe(p);
+  }
+  insert_probe({label, type});
+  ++pointers_;
+  return type;
+}
+
+void EngineProfiler::insert_probe(Probe p) {
+  std::size_t i = probe_index(p.label);
+  while (probe_[i].label != nullptr) i = (i + 1) & (probe_.size() - 1);
+  probe_[i] = p;
+}
+
+trace::Counter& EngineProfiler::fired_counter(const char* label) {
+  return reg_.counter(std::string("sim.engine.fired.") + label);
+}
+
+void EngineProfiler::record_time(LabelStats& s, double ns) {
+  s.total_ns += ns;
+  total_ns_ += ns;
+  std::size_t b = 0;
+  while (b < kCostBoundsNs.size() && ns >= kCostBoundsNs[b]) ++b;
+  ++s.cost_buckets[b];
 }
 
 void EngineProfiler::begin_run() {
@@ -57,20 +83,9 @@ double EngineProfiler::events_per_sec() const {
 
 std::vector<EngineProfiler::LabelStats> EngineProfiler::top(
     std::size_t n) const {
-  // Merge by label text first: duplicate string literals in different
-  // translation units may not share an address.
-  std::map<std::string, LabelStats> merged;
-  for (const auto& [ptr, s] : stats_) {
-    LabelStats& m = merged[s.label];
-    m.label = s.label;
-    m.fired += s.fired;
-    m.total_ns += s.total_ns;
-    for (std::size_t b = 0; b < m.cost_buckets.size(); ++b)
-      m.cost_buckets[b] += s.cost_buckets[b];
-  }
   std::vector<LabelStats> out;
-  out.reserve(merged.size());
-  for (auto& [name, s] : merged) out.push_back(s);
+  for (const Type& t : types_)
+    if (t.stats.fired > 0) out.push_back(t.stats);
   std::sort(out.begin(), out.end(),
             [this](const LabelStats& a, const LabelStats& b) {
               if (timing_ && a.total_ns != b.total_ns)
@@ -131,7 +146,7 @@ std::string EngineProfiler::report(std::size_t n) const {
 }
 
 void EngineProfiler::reset() {
-  stats_.clear();
+  for (Type& t : types_) t.stats = LabelStats{.label = t.stats.label};
   events_ = 0;
   total_ns_ = 0.0;
   run_ns_ = 0.0;

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <chrono>
-#include <string>
 
 #include "util/assert.h"
 #include "util/log.h"
@@ -10,7 +9,8 @@ namespace sprite::sim {
 
 Simulator::Simulator(std::uint64_t seed)
     : rng_(seed),
-      trace_(std::make_unique<trace::Registry>([this] { return now_.us(); })) {
+      trace_(std::make_unique<trace::Registry>([this] { return now_.us(); })),
+      profiler_(*trace_) {
   util::set_log_time_source([this] { return now_.us(); });
   c_event_fired_ = &trace_->counter("sim.engine.event.fired");
   g_queue_peak_ = &trace_->gauge("sim.engine.queue.peak");
@@ -21,73 +21,44 @@ Simulator::Simulator(std::uint64_t seed)
 
 Simulator::~Simulator() { util::set_log_time_source(nullptr); }
 
-EventHandle Simulator::at(Time t, const char* label,
-                          std::function<void()> fn) {
-  SPRITE_CHECK_MSG(t >= now_, "scheduling into the past");
-  EventHandle h;
-  // Causal context follows the work: an event scheduled while a traced
-  // operation is ambient runs under that same context, so continuation
-  // chains (RPC handling, network delivery, timer callbacks) inherit their
-  // trace without any per-subsystem plumbing. Free when no trace is active.
-  if (const trace::Context ctx = trace_->current(); ctx.valid()) {
-    h = queue_.schedule(t, label, [this, ctx, fn = std::move(fn)] {
-      trace::ScopedContext scope(*trace_, ctx);
-      fn();
-    });
-  } else {
-    h = queue_.schedule(t, label, std::move(fn));
-  }
-  if (queue_.size() > queue_peak_) {
-    queue_peak_ = queue_.size();
-    g_queue_peak_->set(static_cast<double>(queue_peak_));
-  }
-  return h;
-}
-
-EventHandle Simulator::after(Time delay, const char* label,
-                             std::function<void()> fn) {
-  SPRITE_CHECK_MSG(delay >= Time::zero(), "negative delay");
-  return at(now_ + delay, label, std::move(fn));
-}
-
-void Simulator::every(Time period, const char* label, std::function<void()> fn,
-                      Time until) {
-  SPRITE_CHECK_MSG(period > Time::zero(), "non-positive period");
-  const Time next = now_ + period;
-  if (next > until || next > horizon_) return;
-  at(next, label, [this, period, label, fn = std::move(fn), until]() mutable {
-    fn();
-    every(period, label, std::move(fn), until);
-  });
-}
-
-void Simulator::count_fired(const char* label) {
-  c_event_fired_->inc();
-  trace::Counter*& c = fired_counters_[label];
-  if (c == nullptr)
-    c = &trace_->counter(std::string("sim.engine.fired.") + label);
-  c->inc();
+bool Simulator::fire(std::uint32_t slot, EventQueue::Event& ev) {
+  // An invalid context leaves the ambient one in place.
+  trace::ScopedContext scope(*trace_, ev.ctx);
+  ev.fn();
+  if (ev.period == Time::zero()) return false;
+  // Re-armed as a fresh schedule from the end of the handler would be:
+  // a new seq, under the context ambient now.
+  const Time next = now_ + ev.period;
+  if (next > ev.until || next > horizon_) return false;
+  ev.ctx = trace_->current();
+  queue_.arm(slot, next);
+  note_queue_size();
+  return true;
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  auto fired = queue_.pop();
-  SPRITE_CHECK_MSG(fired.at >= now_, "event queue time went backwards");
-  now_ = fired.at;
+  const auto [at, slot] = queue_.pop();
+  SPRITE_CHECK_MSG(at >= now_, "event queue time went backwards");
+  now_ = at;
+  EventQueue::Event& ev = queue_.event(slot);
+  const std::uint32_t type = ev.type;
+  bool rearmed = false;
   if (profiler_.timing()) {
     const auto t0 = std::chrono::steady_clock::now();
-    fired.fn();
+    rearmed = fire(slot, ev);
     const auto t1 = std::chrono::steady_clock::now();
     profiler_.record(
-        fired.label,
+        type,
         static_cast<double>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                 .count()));
   } else {
-    fired.fn();
-    profiler_.record(fired.label, -1.0);
+    rearmed = fire(slot, ev);
+    profiler_.record(type, -1.0);
   }
-  count_fired(fired.label);
+  c_event_fired_->inc();
+  if (!rearmed) queue_.release(slot);
   return true;
 }
 

@@ -313,7 +313,7 @@ TEST(ProfilerTest, TimingModeAttributesWallClockPerLabel) {
   for (int i = 0; i < 64; ++i)
     sim.after(Time::msec(i), "cpu_slice", [] {
       volatile int sink = 0;
-      for (int j = 0; j < 1000; ++j) sink += j;
+      for (int j = 0; j < 1000; ++j) sink = sink + j;
     });
   sim.run();
   sim.profiler().end_run();

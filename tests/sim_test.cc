@@ -1,6 +1,11 @@
 // Unit tests for the discrete-event simulation engine.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/cpu.h"
@@ -8,6 +13,7 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "util/rng.h"
 
 namespace sprite::sim {
 namespace {
@@ -58,6 +64,189 @@ TEST(EventQueue, CancelAfterFiringIsNoop) {
   EXPECT_FALSE(h.pending());
   h.cancel();
   EXPECT_EQ(fired, 1);
+}
+
+// A seeded mix of schedule, cancel and step fires in exactly the order of a
+// naive std::map keyed by (time, seq), and pending() agrees with it.
+TEST(EventQueue, RandomScheduleCancelRunMatchesReferenceModel) {
+  Simulator sim;
+  util::Rng rng(1234);
+  std::map<std::pair<Time, std::uint64_t>, int> model;  // pending -> id
+  std::vector<EventHandle> handles;
+  std::vector<std::pair<Time, std::uint64_t>> keys;  // by id
+  std::vector<int> fired;
+  std::uint64_t seq = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const double dice = rng.next_double();
+    if (dice < 0.5) {
+      // Coarse times so many events share a timestamp.
+      const Time t = sim.now() + Time::usec(rng.uniform_int(0, 20) * 100);
+      const int id = static_cast<int>(handles.size());
+      handles.push_back(sim.at(t, [&fired, id] { fired.push_back(id); }));
+      keys.emplace_back(t, seq++);
+      model.emplace(keys.back(), id);
+    } else if (dice < 0.7 && !handles.empty()) {
+      const std::size_t id = rng.index(handles.size());
+      handles[id].cancel();
+      model.erase(keys[id]);
+    } else {
+      const bool stepped = sim.step();
+      ASSERT_EQ(stepped, !model.empty());
+      if (!stepped) continue;
+      ASSERT_EQ(fired.back(), model.begin()->second);
+      EXPECT_EQ(sim.now(), model.begin()->first.first);
+      model.erase(model.begin());
+    }
+    if (op % 97 == 0) {
+      for (std::size_t id = 0; id < handles.size(); ++id)
+        ASSERT_EQ(handles[id].pending(), model.count(keys[id]) == 1) << id;
+    }
+  }
+  std::vector<int> rest;
+  for (const auto& [key, id] : model) rest.push_back(id);
+  const std::size_t before = fired.size();
+  sim.run();
+  EXPECT_EQ(std::vector<int>(fired.begin() + static_cast<std::ptrdiff_t>(before),
+                             fired.end()),
+            rest);
+}
+
+TEST(EventQueue, StaleHandleToReusedSlotIsInert) {
+  Simulator sim;
+  int a = 0, b = 0, c = 0;
+  EventHandle ha = sim.at(Time::msec(1), [&] { ++a; });
+  ha.cancel();
+  EventHandle hb = sim.at(Time::msec(2), [&] { ++b; });  // reuses a's slot
+  EXPECT_FALSE(ha.pending());
+  ha.cancel();
+  EXPECT_TRUE(hb.pending());
+  sim.run();
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 1);
+  EventHandle hc = sim.at(Time::msec(3), [&] { ++c; });  // reuses it again
+  EXPECT_FALSE(hb.pending());
+  hb.cancel();  // fired handle, reused slot
+  ha.cancel();
+  EXPECT_TRUE(hc.pending());
+  sim.run();
+  EXPECT_EQ(c, 1);
+}
+
+TEST(EventQueue, HandlerCanCancelOtherEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle later, same_time;
+  sim.at(Time::msec(1), [&] {
+    order.push_back(1);
+    EXPECT_TRUE(later.pending());
+    later.cancel();
+    same_time.cancel();
+  });
+  same_time = sim.at(Time::msec(1), [&] { order.push_back(2); });
+  later = sim.at(Time::msec(2), [&] { order.push_back(3); });
+  sim.at(Time::msec(3), [&] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 4}));
+  EXPECT_FALSE(later.pending());
+}
+
+TEST(EventQueue, FiringEventIsNotPendingInItsOwnHandler) {
+  Simulator sim;
+  EventHandle self;
+  bool checked = false;
+  self = sim.at(Time::msec(1), [&] {
+    EXPECT_FALSE(self.pending());
+    self.cancel();  // no-op
+    checked = true;
+  });
+  sim.run();
+  EXPECT_TRUE(checked);
+}
+
+TEST(EventQueue, SizeCountsCancelledKeysUntilTheyReachTheFront) {
+  EventQueue q;
+  q.schedule(Time::msec(1), [] {});
+  EventHandle h2 = q.schedule(Time::msec(2), [] {}).first;
+  EventHandle h3 = q.schedule(Time::msec(3), [] {}).first;
+  h2.cancel();
+  EXPECT_EQ(q.size(), 3u);  // h2's key is still in the heap
+  const EventQueue::Popped first = q.pop();
+  EXPECT_EQ(first.at, Time::msec(1));
+  q.release(first.slot);
+  EXPECT_EQ(q.size(), 2u);
+  // The cancelled key is dropped only once it reaches the front.
+  EXPECT_EQ(q.next_time(), Time::msec(3));
+  EXPECT_EQ(q.size(), 1u);
+  q.release(q.pop().slot);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(h3.pending());
+}
+
+TEST(EventQueue, LargeAndMoveOnlyCapturesWork) {
+  Simulator sim;
+  std::array<std::int64_t, 32> big{};  // 256 bytes: past the inline buffer
+  static_assert(sizeof(big) > EventFn::kInlineBytes);
+  for (std::size_t i = 0; i < big.size(); ++i)
+    big[i] = static_cast<std::int64_t>(i);
+  std::int64_t sum = 0;
+  sim.after(Time::msec(1), [&sum, big] {
+    for (std::int64_t v : big) sum += v;
+  });
+  auto owned = std::make_unique<int>(7);
+  int seen = 0;
+  sim.after(Time::msec(2), [&seen, p = std::move(owned)] { seen = *p; });
+  auto big_owned = std::make_unique<int>(9);
+  sim.after(Time::msec(3), [&seen, big, p = std::move(big_owned)] {
+    seen += *p + static_cast<int>(big[1]);
+  });
+  sim.run();
+  EXPECT_EQ(sum, 31 * 32 / 2);
+  EXPECT_EQ(seen, 7 + 9 + 1);
+}
+
+TEST(EventQueue, CancelDestroysCapturedStateAtOnce) {
+  Simulator sim;
+  auto small = std::make_shared<int>(1);
+  auto large = std::make_shared<int>(2);
+  std::weak_ptr<int> small_w = small, large_w = large;
+  std::array<char, 128> pad{};
+  EventHandle hs = sim.after(Time::msec(1), [s = std::move(small)] { (void)s; });
+  EventHandle hl = sim.after(Time::msec(1),
+                             [l = std::move(large), pad] { (void)l, (void)pad; });
+  EXPECT_FALSE(small_w.expired());
+  hs.cancel();
+  hl.cancel();
+  EXPECT_TRUE(small_w.expired());
+  EXPECT_TRUE(large_w.expired());
+}
+
+TEST(EventQueue, DestroyingTheSimulatorDestroysPendingCallables) {
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> w = token;
+  {
+    Simulator sim;
+    sim.after(Time::msec(1), [t = std::move(token)] { (void)t; });
+    sim.every(Time::msec(1), [] {});
+  }
+  EXPECT_TRUE(w.expired());
+}
+
+// A recurring event re-arms after its handler returns, under a fresh seq:
+// work the handler schedules for the next tick's time fires before it.
+TEST(Simulator, EveryReArmsAfterTheHandlerUnderAFreshSeq) {
+  Simulator sim;
+  sim.set_horizon(Time::sec(3));
+  std::vector<std::string> order;
+  sim.every(Time::sec(1), "tick", [&] {
+    order.push_back("tick@" + std::to_string(sim.now().us() / 1000000));
+    sim.after(Time::sec(1), [&] {
+      order.push_back("work@" + std::to_string(sim.now().us() / 1000000));
+    });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"tick@1", "work@2", "tick@2",
+                                             "work@3", "tick@3", "work@4"}));
+  EXPECT_EQ(sim.trace().counter_total("sim.engine.fired.tick"), 3);
 }
 
 TEST(Simulator, RunUntilAdvancesClockEvenWhenIdle) {
