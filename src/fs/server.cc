@@ -64,10 +64,7 @@ FsServer::FsServer(sim::Simulator& sim, sim::Cpu& cpu, rpc::RpcNode& rpc,
   c_read_detected_ = &tr.counter("fs.scrub.read_detected", self);
   c_nospace_ = &tr.counter("fs.server.write.nospace", self);
   root_ = next_ino_++;
-  Inode root;
-  root.ino = root_;
-  root.type = FileType::kDirectory;
-  inodes_.emplace(root_, std::move(root));
+  add_inode(root_, FileType::kDirectory);
 }
 
 void FsServer::register_services() {
@@ -112,6 +109,12 @@ const FsServer::Inode* FsServer::find_inode(Ino i) const {
   return it == inodes_.end() ? nullptr : &it->second;
 }
 
+FsServer::Inode& FsServer::add_inode(Ino ino, FileType type) {
+  auto [it, fresh] = inodes_.try_emplace(ino, ino, type, costs_.block_size);
+  SPRITE_CHECK_MSG(fresh, "inode number reused");
+  return it->second;
+}
+
 util::Result<Ino> FsServer::lookup(const std::string& path) const {
   Ino cur = root_;
   for (const auto& comp : split_path(path)) {
@@ -142,10 +145,7 @@ util::Result<Ino> FsServer::create_at(const std::string& path, FileType type) {
   if (it != parent.children.end()) return {Err::kExist, path};
 
   const Ino ino = next_ino_++;
-  Inode node;
-  node.ino = ino;
-  node.type = type;
-  inodes_.emplace(ino, std::move(node));
+  add_inode(ino, type);
   parent.children.emplace(comps.back(), ino);
   return ino;
 }
@@ -175,10 +175,7 @@ util::Status FsServer::mkdir_p(const std::string& path) {
       continue;
     }
     const Ino ino = next_ino_++;
-    Inode child;
-    child.ino = ino;
-    child.type = FileType::kDirectory;
-    inodes_.emplace(ino, std::move(child));
+    add_inode(ino, FileType::kDirectory);
     node.children.emplace(comp, ino);
     cur = ino;
     ReplRecord rec;
@@ -198,7 +195,7 @@ util::Result<FileId> FsServer::create_file(const std::string& path,
   auto r = create_at(path, FileType::kRegular);
   if (!r.is_ok()) return r.status();
   Inode& node = inode(*r);
-  node.size = logical_size;
+  node.data.extend(logical_size);
   ReplRecord rec;
   rec.kind = ReplKind::kCreate;
   rec.path = path;
@@ -247,12 +244,9 @@ void FsServer::replicate_pdev(const std::string& path, Ino ino,
 
 FileId FsServer::create_pipe_inode(HostId creator) {
   const Ino ino = next_ino_++;
-  Inode node;
-  node.ino = ino;
-  node.type = FileType::kPipe;
+  Inode& node = add_inode(ino, FileType::kPipe);
   node.unlinked = true;  // anonymous: reaped when the last end closes
   node.users[creator] = HostUse{1, 1};
-  inodes_.emplace(ino, std::move(node));
   return FileId{host(), ino};
 }
 
@@ -261,7 +255,7 @@ util::Result<StatResult> FsServer::stat_path(const std::string& path) const {
   if (!r.is_ok()) return r.status();
   const Inode* node = find_inode(*r);
   SPRITE_CHECK(node != nullptr);
-  return StatResult{FileId{host(), node->ino}, node->type, node->size,
+  return StatResult{FileId{host(), node->ino}, node->type, node->data.size(),
                     node->version};
 }
 
@@ -269,7 +263,7 @@ util::Result<Bytes> FsServer::read_direct(FileId id, std::int64_t offset,
                                           std::int64_t len) const {
   const Inode* node = find_inode(id.ino);
   if (node == nullptr) return {Err::kNoEnt, "stale file id"};
-  return pread(*node, offset, len);
+  return node->data.read(offset, len);
 }
 
 bool FsServer::is_cacheable(FileId id) const {
@@ -288,26 +282,6 @@ std::int64_t FsServer::group_offset(FileId id, std::int64_t group) const {
 // Data helpers
 // ---------------------------------------------------------------------------
 
-Bytes FsServer::pread(const Inode& node, std::int64_t offset,
-                      std::int64_t len) const {
-  Bytes out;
-  if (offset >= node.size || len <= 0) return out;
-  const std::int64_t end = std::min(offset + len, node.size);
-  out.reserve(static_cast<std::size_t>(end - offset));
-  for (std::int64_t pos = offset; pos < end;) {
-    const std::int64_t blk = pos / costs_.block_size;
-    const std::int64_t boff = pos % costs_.block_size;
-    const std::int64_t n = std::min(costs_.block_size - boff, end - pos);
-    auto it = node.blocks.find(blk);
-    if (it == node.blocks.end())
-      out.insert(out.end(), static_cast<std::size_t>(n), 0);  // hole
-    else
-      append_block_range(out, it->second, boff, n);
-    pos += n;
-  }
-  return out;
-}
-
 std::int64_t FsServer::pwrite(Inode& node, std::int64_t offset,
                               const Bytes& data) {
   if (data.empty()) return 0;
@@ -315,70 +289,12 @@ std::int64_t FsServer::pwrite(Inode& node, std::int64_t offset,
   // two steps leaves an intact unapplied record (boot replays it); a crash
   // that also tears the record leaves torn garbage the checksums catch.
   journal_append(node.ino, offset, data);
-  write_blocks(node, offset, data, /*verify_rmw=*/true);
+  node.data.write(offset, data, /*verify_rmw=*/true);
   journal_.back().applied = true;
   last_write_ino_ = node.ino;
   last_write_offset_ = offset;
   last_write_len_ = static_cast<std::int64_t>(data.size());
-  node.size = std::max(node.size,
-                       offset + static_cast<std::int64_t>(data.size()));
   return static_cast<std::int64_t>(data.size());
-}
-
-void FsServer::write_blocks(Inode& node, std::int64_t offset,
-                            const Bytes& data, bool verify_rmw) {
-  std::int64_t pos = offset;
-  std::size_t src = 0;
-  while (src < data.size()) {
-    const std::int64_t blk = pos / costs_.block_size;
-    const std::int64_t boff = pos % costs_.block_size;
-    const std::int64_t n = std::min<std::int64_t>(
-        costs_.block_size - boff,
-        static_cast<std::int64_t>(data.size() - src));
-    Bytes& b = node.blocks[blk];
-    // Partial overwrite: some of the block's existing bytes survive.
-    const bool partial =
-        boff > 0 || n < static_cast<std::int64_t>(b.size());
-    if (verify_rmw && partial && !b.empty() && !block_ok(node, blk)) {
-      // Read-modify-write over a corrupt block: the untouched bytes are
-      // garbage, and recomputing the sum below would bless them. Taint the
-      // block so reads keep failing kCorrupt until a repair replaces it.
-      node.tainted.insert(blk);
-    }
-    if (static_cast<std::int64_t>(b.size()) < boff + n)
-      b.resize(static_cast<std::size_t>(boff + n), 0);
-    std::copy(data.begin() + static_cast<std::ptrdiff_t>(src),
-              data.begin() + static_cast<std::ptrdiff_t>(src + n),
-              b.begin() + static_cast<std::ptrdiff_t>(boff));
-    node.block_sums[blk] = block_checksum(b);
-    pos += n;
-    src += static_cast<std::size_t>(n);
-  }
-}
-
-bool FsServer::block_ok(const Inode& node, std::int64_t blk) const {
-  if (node.tainted.count(blk) != 0) return false;
-  auto s = node.block_sums.find(blk);
-  if (s == node.block_sums.end()) return true;  // never checksummed (hole)
-  auto b = node.blocks.find(blk);
-  if (b == node.blocks.end()) return true;  // truncated away since
-  return block_checksum(b->second) == s->second;
-}
-
-bool FsServer::verify_range(const Inode& node, std::int64_t offset,
-                            std::int64_t len) const {
-  if (len <= 0) return true;
-  const std::int64_t first = offset / costs_.block_size;
-  const std::int64_t last = (offset + len - 1) / costs_.block_size;
-  for (std::int64_t blk = first; blk <= last; ++blk)
-    if (!block_ok(node, blk)) return false;
-  return true;
-}
-
-void FsServer::trim_block_meta(Inode& node, std::int64_t keep) {
-  node.block_sums.erase(node.block_sums.lower_bound(keep),
-                        node.block_sums.end());
-  node.tainted.erase(node.tainted.lower_bound(keep), node.tainted.end());
 }
 
 void FsServer::journal_append(Ino ino, std::int64_t offset,
@@ -416,10 +332,7 @@ void FsServer::journal_recover() {
     if (it != inodes_.end()) {
       // RMW verification is skipped on replay: the record covers exactly the
       // bytes the torn apply garbled, so the rewrite restores them whole.
-      write_blocks(it->second, rec.offset, rec.data, /*verify_rmw=*/false);
-      it->second.size =
-          std::max(it->second.size,
-                   rec.offset + static_cast<std::int64_t>(rec.data.size()));
+      it->second.data.write(rec.offset, rec.data, /*verify_rmw=*/false);
       c_journal_replayed_->inc();
       sim_.trace().flight_note("fs.journal", "replayed", host(), -1, rec.ino,
                                rec.offset);
@@ -433,19 +346,16 @@ void FsServer::journal_recover() {
 // ---------------------------------------------------------------------------
 
 void FsServer::inject_bit_flip(std::uint64_t draw) {
-  // Victim set: every checksummed non-empty block, in deterministic (ino,
-  // block) order so the same draw always picks the same victim.
+  // Victim set: every stored block, in deterministic (ino, block) order so
+  // the same draw always picks the same victim.
   std::vector<std::pair<Ino, std::int64_t>> victims;
   for (const auto& [ino, node] : inodes_)
-    for (const auto& [blk, data] : node.blocks)
-      if (!data.empty() && node.block_sums.count(blk) != 0)
-        victims.emplace_back(ino, blk);
+    for (const auto& rec : node.data.records())
+      victims.emplace_back(ino, rec.first);
   if (victims.empty()) return;
   const auto [ino, blk] = victims[draw % victims.size()];
-  Bytes& b = inode(ino).blocks[blk];
-  b[static_cast<std::size_t>((draw / victims.size()) % b.size())] ^= 0x40;
-  // The stored checksum is deliberately left stale: the flip is silent
-  // until a read or scrub pass verifies the block.
+  // The flip is silent until a read or scrub pass verifies the block.
+  inode(ino).data.flip_bit(blk, draw / victims.size());
   sim_.trace().flight_note("fs.integrity", "bit_flipped", host(), -1, ino,
                            blk);
 }
@@ -453,29 +363,17 @@ void FsServer::inject_bit_flip(std::uint64_t draw) {
 void FsServer::tear_last_write(std::uint64_t draw) {
   auto it = inodes_.find(last_write_ino_);
   if (it == inodes_.end() || last_write_len_ <= 0) return;
-  Inode& node = it->second;
   const std::int64_t first = last_write_offset_ / costs_.block_size;
-  const std::int64_t last =
-      (last_write_offset_ + last_write_len_ - 1) / costs_.block_size;
-  const std::int64_t nblk = last - first + 1;
+  const std::int64_t end = last_write_offset_ + last_write_len_;
+  const std::int64_t nblk = (end - 1) / costs_.block_size - first + 1;
   // A prefix of the run's blocks survives; the suffix (at least one block)
   // is garbled in place — only the bytes the write covered, a neighbour's
   // data is not collateral.
   const std::int64_t keep =
       static_cast<std::int64_t>(draw % static_cast<std::uint64_t>(nblk));
-  for (std::int64_t blk = first + keep; blk <= last; ++blk) {
-    auto bit = node.blocks.find(blk);
-    if (bit == node.blocks.end()) continue;
-    const std::int64_t from =
-        std::max(last_write_offset_, blk * costs_.block_size);
-    const std::int64_t to =
-        std::min(last_write_offset_ + last_write_len_,
-                 (blk + 1) * costs_.block_size);
-    for (std::int64_t pos = from; pos < to; ++pos) {
-      const auto idx = static_cast<std::size_t>(pos % costs_.block_size);
-      if (idx < bit->second.size()) bit->second[idx] ^= 0xA5;
-    }
-  }
+  const std::int64_t from =
+      std::max(last_write_offset_, (first + keep) * costs_.block_size);
+  it->second.data.garble(from, end - from);
   // The apply died with the crash. Half the draws also tear the journal
   // record itself (crash mid-append): recovery must discard it and leave
   // the garbled blocks to the checksums instead of replaying garbage.
@@ -510,19 +408,19 @@ void FsServer::scrub_tick() {
   }
   // At most one full lap over the inode table per tick.
   for (std::size_t lap = 0; lap <= inodes_.size() && budget > 0; ++lap) {
-    Inode& node = it->second;
-    auto bit = node.blocks.upper_bound(scrub_blk_);
-    while (bit != node.blocks.end() && budget > 0) {
+    FileBlocks& data = it->second.data;
+    auto bit = data.records().upper_bound(scrub_blk_);
+    while (bit != data.records().end() && budget > 0) {
       scrub_blk_ = bit->first;
       --budget;
       c_scrub_checked_->inc();
-      if (!block_ok(node, bit->first)) {
+      if (!data.verify(bit->first)) {
         c_scrub_found_->inc();
-        repair_block(node.ino, bit->first);
+        repair_block(it->first, bit->first);
       }
       ++bit;
     }
-    if (bit != node.blocks.end()) break;  // budget exhausted mid-inode
+    if (bit != data.records().end()) break;  // budget exhausted mid-inode
     ++it;
     if (it == inodes_.end()) it = inodes_.begin();
     scrub_ino_ = it->first;
@@ -533,13 +431,10 @@ void FsServer::scrub_tick() {
 std::int64_t FsServer::scrub_all_now() {
   std::int64_t found = 0;
   for (auto& [ino, node] : inodes_)
-    for (const auto& [blk, data] : node.blocks) {
-      (void)data;
-      if (!block_ok(node, blk)) {
-        ++found;
-        c_scrub_found_->inc();
-        repair_block(ino, blk);
-      }
+    for (std::int64_t blk : node.data.corrupt_blocks(0, node.data.size())) {
+      ++found;
+      c_scrub_found_->inc();
+      repair_block(ino, blk);
     }
   return found;
 }
@@ -560,30 +455,14 @@ void FsServer::repair_block(Ino ino, std::int64_t blk) {
       peer_, ServiceId::kFsRepl, static_cast<int>(ReplOp::kFetchBlock), req,
       [this, ino, blk](util::Result<Reply> r) {
         repairing_.erase({ino, blk});
+        // Unlinked, overwritten or truncated away meanwhile: nothing to do.
         auto it = inodes_.find(ino);
-        if (it == inodes_.end()) return;
-        Inode& node = it->second;
-        if (block_ok(node, blk)) return;  // overwritten meanwhile; healthy
+        if (it == inodes_.end() || it->second.data.verify(blk)) return;
         auto rep = r.is_ok() && r->status.is_ok()
                        ? rpc::body_cast<ReplFetchBlockRep>(r->body)
                        : nullptr;
-        bool fixed = false;
-        if (rep != nullptr && rep->found) {
-          const bool tainted = node.tainted.count(blk) != 0;
-          auto s = node.block_sums.find(blk);
-          // A bit-flipped block still has its authoritative checksum: the
-          // peer's bytes must match it (a stale peer cannot poison the
-          // repair). A tainted block's sum is itself untrustworthy, so the
-          // peer's verified copy is accepted wholesale.
-          if (tainted || s == node.block_sums.end() ||
-              block_checksum(rep->data) == s->second) {
-            node.blocks[blk] = rep->data;
-            node.block_sums[blk] = block_checksum(rep->data);
-            node.tainted.erase(blk);
-            fixed = true;
-          }
-        }
-        if (fixed) {
+        if (rep != nullptr && rep->found &&
+            it->second.data.repair(blk, rep->data)) {
           c_scrub_repaired_->inc();
           sim_.trace().flight_note("fs.scrub", "repaired", host(), -1, ino,
                                    blk);
@@ -600,14 +479,12 @@ void FsServer::do_repl_fetch_block(const ReplFetchBlockReq& req,
                                    Respond respond) {
   auto rep = std::make_shared<ReplFetchBlockRep>();
   auto it = inodes_.find(req.ino);
-  if (it != inodes_.end()) {
-    auto bit = it->second.blocks.find(req.blk);
-    // Serve only a copy this replica can vouch for: a peer repairing its
-    // corruption must not import ours.
-    if (bit != it->second.blocks.end() && block_ok(it->second, req.blk)) {
-      rep->found = true;
-      rep->data = bit->second;
-    }
+  // Serve only a copy this replica can vouch for: a peer repairing its
+  // corruption must not import ours.
+  if (const Bytes* b = it == inodes_.end() ? nullptr
+                                           : it->second.data.serve(req.blk)) {
+    rep->found = true;
+    rep->data = *b;
   }
   respond(Reply{Status::ok(), rep});
 }
@@ -899,12 +776,7 @@ void FsServer::finish_open(HostId src, const OpenReq& req, Ino ino,
   if (inodes_.count(ino) == 0)
     return respond(error_reply(Err::kStale, "open raced unlink/failover"));
   Inode& node = inode(ino);
-  if (req.flags.truncate) {
-    node.blocks.clear();
-    node.block_sums.clear();
-    node.tainted.clear();
-    node.size = 0;
-  }
+  if (req.flags.truncate) node.data.truncate(0);
 
   HostUse& use = node.users[src];
   if (req.flags.read) ++use.readers;
@@ -931,7 +803,7 @@ void FsServer::finish_open(HostId src, const OpenReq& req, Ino ino,
   auto rep = std::make_shared<OpenRep>();
   rep->result.id = FileId{host(), ino};
   rep->result.type = node.type;
-  rep->result.size = node.size;
+  rep->result.size = node.data.size();
   rep->result.version = node.version;
   rep->result.cacheable = !node.write_shared && !req.flags.no_cache;
   rep->result.generation = boot_generation_;
@@ -1092,17 +964,7 @@ void FsServer::handle_io(HostId src, const Request& req, Respond respond) {
                                                         : nullptr;
                if (node == nullptr)
                  return respond(error_reply(Err::kStale, "truncate"));
-               node->size = body->size;
-               const std::int64_t keep =
-                   (body->size + costs_.block_size - 1) / costs_.block_size;
-               for (auto it = node->blocks.begin();
-                    it != node->blocks.end();) {
-                 if (it->first >= keep)
-                   it = node->blocks.erase(it);
-                 else
-                   ++it;
-               }
-               trim_block_meta(*node, keep);
+               node->data.truncate(body->size);
                ReplRecord rec;
                rec.kind = ReplKind::kTruncate;
                rec.ino = body->id.ino;
@@ -1125,22 +987,17 @@ void FsServer::do_read(HostId, const ReadReq& req, Respond respond) {
   auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
   if (node == nullptr) return respond(error_reply(Err::kStale, "read"));
   c_reads_->inc();
-  if (!verify_range(*node, req.offset, std::min(req.len,
-                                                node->size - req.offset))) {
+  const auto bad = node->data.corrupt_blocks(req.offset, req.len);
+  if (!bad.empty()) {
     // Never serve bytes that fail verification: surface kCorrupt and kick a
     // repair so a later retry can succeed once the replica supplied the
     // block.
     c_read_detected_->inc();
-    const std::int64_t first = req.offset / costs_.block_size;
-    const std::int64_t last =
-        (req.offset + std::max<std::int64_t>(req.len, 1) - 1) /
-        costs_.block_size;
-    for (std::int64_t blk = first; blk <= last; ++blk)
-      if (!block_ok(*node, blk)) repair_block(req.id.ino, blk);
+    for (std::int64_t blk : bad) repair_block(req.id.ino, blk);
     return respond(error_reply(Err::kCorrupt, "read: checksum mismatch"));
   }
   auto rep = std::make_shared<ReadRep>();
-  rep->data = pread(*node, req.offset, req.len);
+  rep->data = node->data.read(req.offset, req.len);
   c_bytes_read_->inc(static_cast<std::int64_t>(rep->data.size()));
   respond(Reply{Status::ok(), rep});
 }
@@ -1159,14 +1016,14 @@ void FsServer::do_write(HostId, const WriteReq& req, Respond respond) {
   c_writes_->inc();
   auto rep = std::make_shared<WriteRep>();
   rep->written = pwrite(*node, req.offset, req.data);
-  rep->new_size = node->size;
+  rep->new_size = node->data.size();
   c_bytes_written_->inc(rep->written);
   ReplRecord rec;
   rec.kind = ReplKind::kWrite;
   rec.ino = req.id.ino;
   rec.offset = req.offset;
   rec.data = req.data;
-  rec.size = node->size;
+  rec.size = node->data.size();
   rec.version = node->version;
   replicate({std::move(rec)}, [rep, respond = std::move(respond)]() mutable {
     respond(Reply{Status::ok(), rep});
@@ -1186,13 +1043,12 @@ void FsServer::do_group_io(HostId, IoOp op, const GroupIoReq& req,
   auto rep = std::make_shared<GroupIoRep>();
   if (op == IoOp::kGroupRead) {
     c_reads_->inc();
-    if (!verify_range(*node, it->second,
-                      std::min(req.len, node->size - it->second))) {
+    if (!node->data.corrupt_blocks(it->second, req.len).empty()) {
       c_read_detected_->inc();
       return respond(
           error_reply(Err::kCorrupt, "group read: checksum mismatch"));
     }
-    rep->data = pread(*node, it->second, req.len);
+    rep->data = node->data.read(it->second, req.len);
     c_bytes_read_->inc(static_cast<std::int64_t>(rep->data.size()));
     it->second += static_cast<std::int64_t>(rep->data.size());
     rep->new_offset = it->second;
@@ -1213,7 +1069,7 @@ void FsServer::do_group_io(HostId, IoOp op, const GroupIoReq& req,
   rec.ino = req.id.ino;
   rec.offset = woff;
   rec.data = req.data;
-  rec.size = node->size;
+  rec.size = node->data.size();
   rec.version = node->version;
   replicate({std::move(rec)}, [rep, respond = std::move(respond)]() mutable {
     respond(Reply{Status::ok(), rep});
@@ -1374,7 +1230,7 @@ void FsServer::do_migrate_stream(const MigrateStreamReq& req,
   auto rep = std::make_shared<MigrateStreamRep>();
   rep->cacheable = !node->write_shared;
   rep->version = node->version;
-  rep->size = node->size;
+  rep->size = node->data.size();
   rep->generation = boot_generation_;
   respond(Reply{Status::ok(), rep});
 }
@@ -1606,21 +1462,15 @@ void FsServer::install_snapshot(const ReplFetchRep& rep) {
   // other memory state worth keeping; the block cache restarts cold.
   inodes_.clear();
   for (const auto& im : rep.inodes) {
-    Inode node;
-    node.ino = im.ino;
-    node.type = im.type;
-    node.size = im.size;
+    Inode& node = add_inode(im.ino, im.type);
     node.version = im.version;
     for (const auto& [name, child] : im.children)
       node.children.emplace(name, child);
-    node.blocks = im.blocks;
-    // A snapshot is a fresh trusted copy: recompute checksums over what the
-    // primary sent (taint, if any, does not carry over).
-    for (const auto& [blk, data] : node.blocks)
-      node.block_sums[blk] = block_checksum(data);
+    // The primary's sums and taint come along: corruption there stays
+    // corruption here.
+    node.data.import(im.blocks, im.size);
     node.pdev_host = im.pdev_host;
     node.pdev_tag = im.pdev_tag;
-    inodes_.emplace(im.ino, std::move(node));
   }
   SPRITE_CHECK_MSG(inodes_.count(root_) != 0, "snapshot lost the root");
   next_ino_ = std::max(next_ino_, rep.next_ino);
@@ -1642,11 +1492,11 @@ std::vector<InodeImage> FsServer::snapshot_inodes() const {
     InodeImage im;
     im.ino = ino;
     im.type = node.type;
-    im.size = node.size;
+    im.size = node.data.size();
     im.version = node.version;
     for (const auto& [name, child] : node.children)
       im.children.emplace_back(name, child);
-    im.blocks = node.blocks;
+    im.blocks = node.data.records();
     im.pdev_host = node.pdev_host;
     im.pdev_tag = node.pdev_tag;
     out.push_back(std::move(im));
@@ -1670,10 +1520,7 @@ Ino FsServer::create_with_ino(const std::string& path, FileType type,
     // Missing parent (parents normally replicate first); recover with a
     // fresh directory so the record still lands.
     const Ino dir = next_ino_++;
-    Inode child;
-    child.ino = dir;
-    child.type = FileType::kDirectory;
-    inodes_.emplace(dir, std::move(child));
+    add_inode(dir, FileType::kDirectory);
     node.children.emplace(comps[i], dir);
     cur = dir;
   }
@@ -1689,10 +1536,7 @@ Ino FsServer::create_with_ino(const std::string& path, FileType type,
     c_repl_divergent_->inc();
     return kInvalidIno;
   }
-  Inode node;
-  node.ino = ino;
-  node.type = type;
-  inodes_.emplace(ino, std::move(node));
+  add_inode(ino, type);
   parent.children.emplace(comps.back(), ino);
   next_ino_ = std::max(next_ino_, ino + 1);
   return ino;
@@ -1711,7 +1555,7 @@ void FsServer::apply_record(const ReplRecord& rec) {
         Inode& node = inode(ino);
         node.version = std::max(node.version, rec.version);
         // Harness-seeded files arrive pre-sized with no write records.
-        node.size = std::max(node.size, rec.size);
+        node.data.extend(rec.size);
       }
       return;
     }
@@ -1735,23 +1579,14 @@ void FsServer::apply_record(const ReplRecord& rec) {
       Inode* node = inodes_.count(rec.ino) ? &inode(rec.ino) : nullptr;
       if (node == nullptr) return;
       pwrite(*node, rec.offset, rec.data);
-      node->size = std::max(node->size, rec.size);
+      node->data.extend(rec.size);
       node->version = std::max(node->version, rec.version);
       return;
     }
     case ReplKind::kTruncate: {
       Inode* node = inodes_.count(rec.ino) ? &inode(rec.ino) : nullptr;
       if (node == nullptr) return;
-      node->size = rec.size;
-      const std::int64_t keep =
-          (rec.size + costs_.block_size - 1) / costs_.block_size;
-      for (auto it = node->blocks.begin(); it != node->blocks.end();) {
-        if (it->first >= keep)
-          it = node->blocks.erase(it);
-        else
-          ++it;
-      }
-      trim_block_meta(*node, keep);
+      node->data.truncate(rec.size);
       node->version = std::max(node->version, rec.version);
       return;
     }

@@ -29,10 +29,13 @@
 // dies with the primary and is rebuilt by client reopens, exactly as after a
 // single-server reboot.
 //
-// Integrity: every written block carries a block_checksum (fs/types.h: a
+// Integrity: every stored block carries a block_checksum (fs/types.h: a
 // four-lane word-at-a-time sum that detects any change confined to one 8-byte
-// word, so every single-bit flip), maintained on the write path and verified
-// on every read — a mismatch surfaces Err::kCorrupt, never silent wrong data.
+// word, so every single-bit flip), computed when its bytes are made and
+// verified once per version (fs/blocks.h) before any read serves it — a
+// mismatch surfaces Err::kCorrupt, never silent wrong data. Snapshots carry
+// each block's sum and taint, so a resynced replica inherits corruption as
+// corruption instead of blessing it.
 // Writes first land in a bounded redo journal that (like the blocks) survives
 // a crash; boot replays intact unapplied records and discards torn ones, so a
 // write interrupted by a crash is either fully present or fully absent, with
@@ -53,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "fs/blocks.h"
 #include "fs/types.h"
 #include "fs/wire.h"
 #include "rpc/rpc.h"
@@ -146,23 +150,17 @@ class FsServer {
   };
 
   struct Inode {
+    Inode(Ino i, FileType t, std::int64_t block_size)
+        : ino(i), type(t), data(block_size) {}
+
     Ino ino = kInvalidIno;
     FileType type = FileType::kRegular;
     std::map<std::string, Ino> children;  // directories
-    std::int64_t size = 0;
     std::int64_t version = 0;
-    std::map<std::int64_t, Bytes> blocks;  // sparse authoritative data
-    // Per-block checksums (block_checksum: any change within one 8-byte
-    // word, e.g. a single bit flip, is always caught), updated with every
-    // block write. A block whose bytes no longer match its sum is corrupt:
-    // reads fail kCorrupt and the scrubber repairs it from the replica.
-    // Blocks never written through the write path (holes) have no entry and
-    // verify trivially.
-    std::map<std::int64_t, std::uint64_t> block_sums;
-    // Blocks whose content incorporated unverifiable bytes (a
-    // read-modify-write over an already-corrupt block): treated as corrupt
-    // regardless of the (recomputed) sum until a repair replaces them.
-    std::set<std::int64_t> tainted;
+    // Authoritative data: the length and sparse blocks, each with its
+    // checksum and taint. A block that is not intact fails reads with
+    // kCorrupt until the scrubber or a read repairs it from the replica.
+    FileBlocks data;
     bool unlinked = false;
 
     // Consistency state.
@@ -213,8 +211,10 @@ class FsServer {
   const Inode* find_inode(Ino i) const;
   void maybe_reap(Ino i);
 
-  // Data helpers (authoritative storage).
-  Bytes pread(const Inode& node, std::int64_t offset, std::int64_t len) const;
+  // Creates inode `ino` (which must be free) and returns it.
+  Inode& add_inode(Ino ino, FileType type);
+
+  // Journals `data`, stores it at `offset` and grows the file to cover it.
   std::int64_t pwrite(Inode& node, std::int64_t offset, const Bytes& data);
 
   // ---- Integrity helpers ----
@@ -233,20 +233,6 @@ class FsServer {
   };
   void journal_append(Ino ino, std::int64_t offset, const Bytes& data);
   void journal_recover();  // boot-time replay-or-discard of unapplied tail
-  // Applies `data` at `offset` into the block store and refreshes the
-  // touched blocks' checksums. When `verify_rmw` is set, a partially
-  // overwritten block is first verified: on mismatch the rewritten block is
-  // marked tainted (its untouched bytes were garbage) so reads keep failing
-  // kCorrupt instead of serving silently blessed data.
-  void write_blocks(Inode& node, std::int64_t offset, const Bytes& data,
-                    bool verify_rmw);
-  // A stored block is ok when it is untainted and matches its checksum.
-  bool block_ok(const Inode& node, std::int64_t blk) const;
-  // Every existing block touched by [offset, offset+len) verifies.
-  bool verify_range(const Inode& node, std::int64_t offset,
-                    std::int64_t len) const;
-  // Drop checksum/taint bookkeeping for blocks >= `keep` (truncation).
-  static void trim_block_meta(Inode& node, std::int64_t keep);
   void scrub_tick();
   // Fetch `blk` of `ino` from the replica peer and install it if it matches
   // the local checksum (or the block is tainted). No-ops while a repair for

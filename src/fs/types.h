@@ -65,7 +65,8 @@ using Bytes = std::vector<std::uint8_t>;
 // xorshift after each multiply carries high-bit differences downward, so two
 // flips of bit 63 in consecutive words of one lane cannot cancel. The lanes
 // fold together, then the tail bytes, then the length. Sums are only
-// compared within one process; they are never serialized or sent.
+// compared within one process (snapshots hand them between replicas in
+// memory); nothing stores them, so the definition is free to change.
 std::uint64_t block_checksum(const Bytes& b);
 
 // Appends bytes [boff, boff + n) of `block` to `out`. Bytes past the end of a

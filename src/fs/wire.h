@@ -13,11 +13,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "fs/blocks.h"
 #include "fs/types.h"
 #include "rpc/rpc.h"
 
@@ -309,7 +309,9 @@ struct InodeImage {
   std::int64_t size = 0;
   std::int64_t version = 0;
   std::vector<std::pair<std::string, Ino>> children;  // directories
-  std::map<std::int64_t, Bytes> blocks;               // sparse data blocks
+  // Sparse data blocks with their sums and taint: the importer checks each
+  // block on first use, so corruption on the sender stays visible.
+  FileBlocks::Records blocks;
   sim::HostId pdev_host = sim::kInvalidHost;
   int pdev_tag = 0;
   std::int64_t bytes() const {
@@ -318,9 +320,9 @@ struct InodeImage {
       (void)ino_;
       n += 12 + static_cast<std::int64_t>(name.size());
     }
-    for (const auto& [blk, data] : blocks) {
+    for (const auto& [blk, b] : blocks) {
       (void)blk;
-      n += 12 + static_cast<std::int64_t>(data.size());
+      n += 12 + static_cast<std::int64_t>(b.bytes.size());
     }
     return n;
   }

@@ -63,12 +63,9 @@ void ReservingSelector::release_host(HostId h) {
 // ProbabilisticSelector
 // ---------------------------------------------------------------------------
 
-ProbabilisticSelector::ProbabilisticSelector(
-    kern::Host& host, LoadShareNode& node,
-    std::function<bool(sim::HostId)> ground_truth_idle)
-    : ReservingSelector(host),
-      node_(node),
-      ground_truth_(std::move(ground_truth_idle)) {}
+ProbabilisticSelector::ProbabilisticSelector(kern::Host& host,
+                                             LoadShareNode& node)
+    : ReservingSelector(host), node_(node) {}
 
 void ProbabilisticSelector::request_hosts(int n, GrantCb cb) {
   note_request();
@@ -99,12 +96,8 @@ void ProbabilisticSelector::request_hosts(int n, GrantCb cb) {
 // MulticastSelector
 // ---------------------------------------------------------------------------
 
-MulticastSelector::MulticastSelector(
-    kern::Host& host, LoadShareNode& node,
-    std::function<bool(sim::HostId)> ground_truth_idle)
-    : ReservingSelector(host),
-      node_(node),
-      ground_truth_(std::move(ground_truth_idle)) {
+MulticastSelector::MulticastSelector(kern::Host& host, LoadShareNode& node)
+    : ReservingSelector(host), node_(node) {
   node_.set_offer_sink([this](const OfferReq& offer) {
     if (offer.seq != current_seq_) return;  // stale query
     offers_.push_back(offer.host);

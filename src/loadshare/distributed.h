@@ -46,26 +46,22 @@ class ReservingSelector : public HostSelector {
 
 class ProbabilisticSelector : public ReservingSelector {
  public:
-  ProbabilisticSelector(kern::Host& host, LoadShareNode& node,
-                        std::function<bool(sim::HostId)> ground_truth_idle);
+  ProbabilisticSelector(kern::Host& host, LoadShareNode& node);
 
   void request_hosts(int n, GrantCb cb) override;
 
  private:
   LoadShareNode& node_;
-  std::function<bool(sim::HostId)> ground_truth_;
 };
 
 class MulticastSelector : public ReservingSelector {
  public:
-  MulticastSelector(kern::Host& host, LoadShareNode& node,
-                    std::function<bool(sim::HostId)> ground_truth_idle);
+  MulticastSelector(kern::Host& host, LoadShareNode& node);
 
   void request_hosts(int n, GrantCb cb) override;
 
  private:
   LoadShareNode& node_;
-  std::function<bool(sim::HostId)> ground_truth_;
   std::int64_t next_seq_ = 1;
   // Offers collected for the in-flight query (one at a time per selector).
   std::int64_t current_seq_ = 0;

@@ -77,8 +77,7 @@ Facility::Facility(kern::Cluster& cluster, Arch arch)
         eviction_hooks_[w] = nullptr;
         nodes_.at(w)->enable_autoeviction();
         selectors_.emplace(w, std::make_unique<ProbabilisticSelector>(
-                                  cluster_.host(w), *nodes_.at(w),
-                                  ground_truth));
+                                  cluster_.host(w), *nodes_.at(w)));
       }
       break;
     }
@@ -87,10 +86,8 @@ Facility::Facility(kern::Cluster& cluster, Arch arch)
         nodes_.at(w)->enable_multicast_responder();
         eviction_hooks_[w] = nullptr;
         nodes_.at(w)->enable_autoeviction();
-        selectors_.emplace(
-            w, std::make_unique<MulticastSelector>(cluster_.host(w),
-                                                   *nodes_.at(w),
-                                                   ground_truth));
+        selectors_.emplace(w, std::make_unique<MulticastSelector>(
+                                  cluster_.host(w), *nodes_.at(w)));
       }
       break;
     }

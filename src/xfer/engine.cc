@@ -634,7 +634,7 @@ void Engine::collect_peer_interest(std::vector<HostId>& out) const {
 // Incoming RPCs
 // ---------------------------------------------------------------------------
 
-void Engine::handle_rpc(HostId src, const Request& req,
+void Engine::handle_rpc(HostId, const Request& req,
                         std::function<void(Reply)> respond) {
   switch (static_cast<XferOp>(req.op)) {
     case XferOp::kPageBatch: {

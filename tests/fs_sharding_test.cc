@@ -69,6 +69,18 @@ std::string read_blocking(Cluster& cluster, HostId h, const StreamPtr& s,
   return out;
 }
 
+util::Result<Bytes> read_result(Cluster& cluster, HostId h,
+                                const StreamPtr& s, std::int64_t len) {
+  util::Result<Bytes> out(Err::kAgain);
+  bool done = false;
+  cluster.host(h).fs().read(s, len, [&](util::Result<Bytes> r) {
+    out = std::move(r);
+    done = true;
+  });
+  cluster.run_until_done([&] { return done; });
+  return out;
+}
+
 std::string server_bytes(FsServer* srv, const std::string& path,
                          std::int64_t len) {
   auto st = srv->stat_path(path);
@@ -243,6 +255,81 @@ TEST(FsFailoverTest, RebootedPrimaryDemotesResyncsAndCanTakeOver) {
   auto s3 = open_blocking(cluster, ws, "/epoch", nf);
   ASSERT_TRUE(s3);
   EXPECT_EQ(read_blocking(cluster, ws, s3, 2), "V2");
+}
+
+// ---------------------------------------------------------------------------
+// A snapshot resync carries each block's sum and taint: a block corrupt on
+// the primary stays corrupt on the resynced replica, and is never served as
+// good data after the next failover.
+TEST(FsFailoverTest, SnapshotResyncKeepsCorruptionVisible) {
+  Cluster cluster(
+      {.num_workstations = 1, .num_file_servers = 1, .fs_replicas = 2});
+  auto* old_primary = cluster.file_server().fs_server();
+  auto* backup = cluster.fs_backup().fs_server();
+  const HostId primary_h = cluster.file_server().id();
+  const HostId backup_h = cluster.fs_backup().id();
+  const HostId ws = cluster.workstations()[0];
+
+  auto s = open_blocking(cluster, ws, "/epoch", OpenFlags::create_rw());
+  ASSERT_TRUE(s);
+  write_blocking(cluster, ws, s, "v1");
+  ASSERT_TRUE(fsync_blocking(cluster, ws, s).is_ok());
+  cluster.crash_host(primary_h);
+  run_for(cluster, Time::sec(20));
+  ASSERT_TRUE(backup->is_primary());
+  auto s2 = open_blocking(cluster, ws, "/epoch", OpenFlags::read_write());
+  ASSERT_TRUE(s2);
+  write_blocking(cluster, ws, s2, "V2");
+  ASSERT_TRUE(fsync_blocking(cluster, ws, s2).is_ok());
+
+  // Silent corruption on the promoted replica, then the old primary
+  // reboots and resyncs from it by snapshot.
+  backup->inject_bit_flip(0);
+  cluster.reboot_host(primary_h);
+  run_for(cluster, Time::sec(10));
+  ASSERT_FALSE(old_primary->is_primary());
+  ASSERT_GE(counter(cluster, "fs.repl.snapshot_syncs", primary_h), 1);
+  EXPECT_EQ(old_primary->scrub_all_now(), 1);
+
+  // After the second failover the resynced replica refuses to serve it.
+  cluster.crash_host(backup_h);
+  run_for(cluster, Time::sec(20));
+  ASSERT_TRUE(old_primary->is_primary());
+  OpenFlags nf = OpenFlags::read_only();
+  nf.no_cache = true;
+  auto s3 = open_blocking(cluster, ws, "/epoch", nf);
+  ASSERT_TRUE(s3);
+  EXPECT_EQ(read_result(cluster, ws, s3, 2).err(), Err::kCorrupt);
+}
+
+// ---------------------------------------------------------------------------
+// A partial overwrite of a corrupt block cannot bless its surviving bytes:
+// reads fail kCorrupt until the block is repaired from the replica, whose
+// copy applied the same write to intact bytes.
+TEST(FsIntegrityTest, PartialOverwriteOfCorruptBlockStaysCorruptUntilRepair) {
+  Cluster cluster(
+      {.num_workstations = 1, .num_file_servers = 1, .fs_replicas = 2});
+  auto* primary = cluster.file_server().fs_server();
+  const HostId ws = cluster.workstations()[0];
+  const std::int64_t bs = cluster.costs().block_size;
+  OpenFlags flags = OpenFlags::create_rw();
+  flags.no_cache = true;
+  auto s = open_blocking(cluster, ws, "/rmw", flags);
+  ASSERT_TRUE(s);
+  write_blocking(cluster, ws, s, std::string(static_cast<std::size_t>(bs), 'a'));
+
+  primary->inject_bit_flip(0);
+  cluster.host(ws).fs().seek(s, 10);
+  write_blocking(cluster, ws, s, "XY");
+  std::string want(static_cast<std::size_t>(bs), 'a');
+  want.replace(10, 2, "XY");
+
+  cluster.host(ws).fs().seek(s, 0);
+  EXPECT_EQ(read_result(cluster, ws, s, bs).err(), Err::kCorrupt);
+  run_for(cluster, Time::sec(1));  // the read kicked a repair
+  EXPECT_EQ(counter(cluster, "fs.scrub.repaired", primary->host()), 1);
+  cluster.host(ws).fs().seek(s, 0);
+  EXPECT_EQ(read_blocking(cluster, ws, s, bs), want);
 }
 
 // ---------------------------------------------------------------------------

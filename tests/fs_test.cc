@@ -86,6 +86,30 @@ class FsTest : public ::testing::Test {
     return out;
   }
 
+  // A read whose failure the test expects to see.
+  util::Result<Bytes> read_r(sim::HostId h, const StreamPtr& s,
+                             std::int64_t len) {
+    util::Result<Bytes> out(Err::kAgain);
+    bool done = false;
+    cluster_.host(h).fs().read(s, len, [&](util::Result<Bytes> r) {
+      out = std::move(r);
+      done = true;
+    });
+    cluster_.run_until_done([&] { return done; });
+    return out;
+  }
+
+  Status ftruncate_s(sim::HostId h, const StreamPtr& s, std::int64_t size) {
+    Status out(Err::kAgain);
+    bool done = false;
+    cluster_.host(h).fs().ftruncate(s, size, [&](Status st) {
+      out = st;
+      done = true;
+    });
+    cluster_.run_until_done([&] { return done; });
+    return out;
+  }
+
   Status fsync_s(sim::HostId h, const StreamPtr& s) {
     Status out(Err::kAgain);
     bool done = false;
@@ -555,6 +579,53 @@ TEST_F(FsTest, SparseFileReadsByteExactCachedAndUncached) {
   EXPECT_GT(tr().counter_value("fs.client.block.hit", ws(2)), 0);
 }
 
+TEST_F(FsTest, TruncateThenExtendReadsZeros) {
+  // Truncating into the middle of a block must drop the block's tail, or a
+  // later write past the new end brings the old bytes back.
+  const std::int64_t bs = cluster_.costs().block_size;
+  OpenFlags flags = OpenFlags::create_rw();
+  flags.no_cache = true;
+  auto s = open_ok(ws(0), "/cut", flags);
+  ASSERT_TRUE(s);
+  ASSERT_EQ(write_ok(ws(0), s, Bytes(static_cast<std::size_t>(bs), 'A')), bs);
+  ASSERT_TRUE(ftruncate_s(ws(0), s, 100).is_ok());
+  ASSERT_TRUE(cluster_.host(ws(0)).fs().seek(s, 200).is_ok());
+  ASSERT_EQ(write_ok(ws(0), s, make_bytes("ZZ")), 2);
+
+  Bytes want(202, 0);
+  std::fill(want.begin(), want.begin() + 100, 'A');
+  want[200] = want[201] = 'Z';
+  auto got = server().read_direct(s->file, 0, bs);
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(*got, want);
+  cluster_.host(ws(0)).fs().seek(s, 0);
+  EXPECT_EQ(read_ok(ws(0), s, bs), want);
+}
+
+// ---- Verify once per version ----
+
+TEST_F(FsTest, BitFlipAfterVerifiedReadIsStillCaught) {
+  // A block that already passed verification must not stay trusted when
+  // its bytes change behind its sum.
+  const std::int64_t bs = cluster_.costs().block_size;
+  OpenFlags flags = OpenFlags::create_rw();
+  flags.no_cache = true;
+  auto s = open_ok(ws(0), "/flip", flags);
+  ASSERT_TRUE(s);
+  const Bytes block(static_cast<std::size_t>(bs), 'B');
+  ASSERT_EQ(write_ok(ws(0), s, block), bs);
+  cluster_.host(ws(0)).fs().seek(s, 0);
+  ASSERT_EQ(read_ok(ws(0), s, bs), block);
+
+  server().inject_bit_flip(0);
+  cluster_.host(ws(0)).fs().seek(s, 0);
+  EXPECT_EQ(read_r(ws(0), s, bs).err(), Err::kCorrupt);
+  EXPECT_EQ(server().scrub_all_now(), 1);
+  // No replica to repair from: the corruption stays visible.
+  EXPECT_EQ(read_r(ws(0), s, bs).err(), Err::kCorrupt);
+  EXPECT_EQ(tr().counter_value("fs.scrub.read_detected", server_id()), 2);
+}
+
 // ---- block_checksum detection properties ----
 
 Bytes random_block(std::size_t n, std::uint64_t seed) {
@@ -631,6 +702,60 @@ TEST(FsChecksumTest, EqualBytesGiveEqualSums) {
     const Bytes z(y.begin() + 3, y.end());
     EXPECT_EQ(block_checksum(x), block_checksum(z)) << "size " << n;
   }
+}
+
+// ---- FileBlocks repair rule ----
+
+TEST(FileBlocksTest, RepairNeedsTheStoredSumUnlessTainted) {
+  FileBlocks blocks(64);
+  const Bytes good(64, 'g');
+  blocks.write(0, good, /*verify_rmw=*/true);
+  ASSERT_TRUE(blocks.verify(0));
+
+  // A bit flip leaves the sum of `good` in place: only bytes matching it
+  // may repair the block, so a stale peer copy is refused.
+  blocks.flip_bit(0, 5);
+  EXPECT_FALSE(blocks.verify(0));
+  EXPECT_EQ(blocks.serve(0), nullptr);
+  EXPECT_FALSE(blocks.repair(0, Bytes(64, 's')));
+  EXPECT_FALSE(blocks.verify(0));
+  EXPECT_TRUE(blocks.repair(0, good));
+  EXPECT_TRUE(blocks.verify(0));
+  ASSERT_NE(blocks.serve(0), nullptr);
+  EXPECT_EQ(*blocks.serve(0), good);
+
+  // A partial overwrite of a flipped block taints it; a tainted block's sum
+  // is untrusted, so any peer copy is accepted.
+  blocks.flip_bit(0, 5);
+  blocks.write(10, Bytes(4, 'w'), /*verify_rmw=*/true);
+  EXPECT_FALSE(blocks.verify(0));
+  const Bytes peer(64, 'p');
+  EXPECT_TRUE(blocks.repair(0, peer));
+  EXPECT_TRUE(blocks.verify(0));
+  EXPECT_EQ(blocks.read(0, 64), peer);
+}
+
+TEST(FileBlocksTest, ImportedRecordsAreCheckedOnFirstUse) {
+  FileBlocks src(64);
+  src.write(0, Bytes(64, 'a'), /*verify_rmw=*/true);
+  src.write(64, Bytes(64, 'b'), /*verify_rmw=*/true);
+  src.write(128, Bytes(10, 'c'), /*verify_rmw=*/true);
+  src.flip_bit(1, 0);
+  src.garble(130, 4);
+
+  FileBlocks dst(64);
+  dst.import(src.records(), src.size());
+  EXPECT_EQ(dst.size(), 138);
+  EXPECT_EQ(dst.corrupt_blocks(0, 192), (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(dst.read(0, 64), Bytes(64, 'a'));
+  // A cut through a corrupt block keeps it corrupt.
+  dst.truncate(130);
+  EXPECT_EQ(dst.corrupt_blocks(0, 130), (std::vector<std::int64_t>{1, 2}));
+  dst.truncate(100);
+  EXPECT_EQ(dst.corrupt_blocks(0, 100), (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(dst.read(96, 8), (Bytes{'b', 'b', 'b', 'b'}));
+  dst.extend(104);
+  EXPECT_EQ(dst.read(96, 8), (Bytes{'b', 'b', 'b', 'b', 0, 0, 0, 0}));
 }
 
 }  // namespace
