@@ -93,8 +93,8 @@ void BM_FsCachedReads(benchmark::State& state) {
 }
 BENCHMARK(BM_FsCachedReads);
 
-// The server-side data path: 4 KB block writes (journal append, block store,
-// checksum) and reads verified against the block checksums, through a
+// The server-side data path: 4 KB block writes (journal copy, block store,
+// block checksum) and reads verified against the block checksums, through a
 // no-cache stream so every block reaches the server.
 void BM_FsServerWriteVerifyRead(benchmark::State& state) {
   constexpr int kBlocks = 64;

@@ -51,7 +51,9 @@ void FileBlocks::write(std::int64_t offset, const Bytes& data,
     // Partial overwrite: some of the block's existing bytes survive.
     const bool partial =
         boff > 0 || n < static_cast<std::int64_t>(b.bytes.size());
-    if (verify_rmw && partial && !b.bytes.empty() && !intact(b))
+    if (!partial)
+      b.tainted = false;  // nothing of the old version survives
+    else if (verify_rmw && !b.bytes.empty() && !intact(b))
       b.tainted = true;
     if (static_cast<std::int64_t>(b.bytes.size()) < boff + n)
       b.bytes.resize(static_cast<std::size_t>(boff + n), 0);
@@ -89,6 +91,9 @@ void FileBlocks::garble(std::int64_t offset, std::int64_t len) {
   for (auto it = blocks_.lower_bound(offset / block_size_);
        it != blocks_.end() && it->first * block_size_ < end; ++it) {
     Block& b = it->second;
+    // Damage already there is not the tear's: a replay that rewrites only
+    // the garbled range must not bless it with a fresh sum.
+    if (!intact(b)) b.tainted = true;
     const std::int64_t base = it->first * block_size_;
     const std::int64_t to =
         std::min(end - base, static_cast<std::int64_t>(b.bytes.size()));

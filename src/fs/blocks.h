@@ -51,7 +51,8 @@ class FileBlocks {
                                            std::int64_t len);
   bool verify(std::int64_t blk);
 
-  // Stores `data` at `offset`, extending the file to cover it. With
+  // Stores `data` at `offset`, extending the file to cover it. A block
+  // overwritten in full is a new version and loses any taint. With
   // `verify_rmw`, a partially overwritten block that is not intact becomes
   // tainted: its surviving bytes are garbage that the new sum would
   // otherwise bless.
@@ -63,7 +64,9 @@ class FileBlocks {
   // Fault hooks: change bytes and leave the sum stale.
   // Flips one bit of stored block `blk`, at a byte picked by `draw`.
   void flip_bit(std::int64_t blk, std::uint64_t draw);
-  // Garbles the stored bytes within [offset, offset + len).
+  // Garbles the stored bytes within [offset, offset + len). A block that
+  // was not intact before becomes tainted, so rewriting just that range
+  // cannot make it intact again.
   void garble(std::int64_t offset, std::int64_t len);
 
   // Replaces a block that is not intact with a replica peer's copy. The

@@ -104,9 +104,29 @@ FsServer::Inode& FsServer::inode(Ino i) {
   return it->second;
 }
 
+FsServer::Inode* FsServer::find_inode(Ino i) {
+  auto it = inodes_.find(i);
+  return it == inodes_.end() ? nullptr : &it->second;
+}
+
 const FsServer::Inode* FsServer::find_inode(Ino i) const {
   auto it = inodes_.find(i);
   return it == inodes_.end() ? nullptr : &it->second;
+}
+
+FsServer::Inode* FsServer::handle_inode(const FileId& id, std::int64_t gen,
+                                        const char* op, Respond& respond,
+                                        bool pipe) {
+  if (stale_handle(id, gen)) {
+    respond(error_reply(Err::kStale, std::string(op) + ": pre-crash stream"));
+    return nullptr;
+  }
+  Inode* node = find_inode(id.ino);
+  if (node == nullptr || (pipe && node->type != FileType::kPipe)) {
+    respond(error_reply(Err::kStale, op));
+    return nullptr;
+  }
+  return node;
 }
 
 FsServer::Inode& FsServer::add_inode(Ino ino, FileType type) {
@@ -285,60 +305,66 @@ std::int64_t FsServer::group_offset(FileId id, std::int64_t group) const {
 std::int64_t FsServer::pwrite(Inode& node, std::int64_t offset,
                               const Bytes& data) {
   if (data.empty()) return 0;
-  // Journal first, then apply, then mark applied: a crash between the first
-  // two steps leaves an intact unapplied record (boot replays it); a crash
-  // that also tears the record leaves torn garbage the checksums catch.
-  journal_append(node.ino, offset, data);
+  // Journal first, then apply: the apply only ever dies by a torn crash,
+  // which un-applies the record (tear_last_write) for boot to redo.
+  pending_.ino = node.ino;
+  pending_.offset = offset;
+  pending_.data.assign(data.begin(), data.end());
+  c_journal_appended_->inc();
   node.data.write(offset, data, /*verify_rmw=*/true);
-  journal_.back().applied = true;
-  last_write_ino_ = node.ino;
-  last_write_offset_ = offset;
-  last_write_len_ = static_cast<std::int64_t>(data.size());
+  pending_.state = PendingWrite::State::kApplied;
   return static_cast<std::int64_t>(data.size());
 }
 
-void FsServer::journal_append(Ino ino, std::int64_t offset,
-                              const Bytes& data) {
-  JournalRec rec;
-  rec.ino = ino;
+template <class MakeReply>
+void FsServer::write_through(Inode& node, std::int64_t offset,
+                             const Bytes& data, Respond respond,
+                             MakeReply make_reply) {
+  if (disk_full_) {
+    // Rejected before replication: the backup never sees the record, so a
+    // full disk cannot make the replicas diverge.
+    c_nospace_->inc();
+    return respond(error_reply(Err::kNoSpace, "disk full"));
+  }
+  c_writes_->inc();
+  const std::int64_t written = pwrite(node, offset, data);
+  c_bytes_written_->inc(written);
+  rpc::MessagePtr rep = make_reply(written);
+  ReplRecord rec;
+  rec.kind = ReplKind::kWrite;
+  rec.ino = node.ino;
   rec.offset = offset;
   rec.data = data;
-  rec.sum = block_checksum(data);
-  journal_.push_back(std::move(rec));
-  c_journal_appended_->inc();
-  // Applied records beyond the redo horizon are dead weight; recovery only
-  // needs the unapplied tail.
-  while (static_cast<std::int64_t>(journal_.size()) >
-             costs_.fs_journal_capacity &&
-         journal_.front().applied)
-    journal_.pop_front();
+  rec.size = node.data.size();
+  rec.version = node.version;
+  replicate({std::move(rec)}, [rep, respond = std::move(respond)]() mutable {
+    respond(Reply{Status::ok(), rep});
+  });
 }
 
 void FsServer::journal_recover() {
-  for (JournalRec& rec : journal_) {
-    if (rec.applied) continue;
-    if (rec.torn || block_checksum(rec.data) != rec.sum) {
-      // The crash tore the record itself: the write never became durable.
-      // Its half-applied on-disk remnant fails checksum verification, so it
-      // is caught (and repaired from the replica) rather than served.
-      rec.applied = true;
-      rec.torn = true;
-      c_journal_discarded_->inc();
-      sim_.trace().flight_note("fs.journal", "discarded", host(), -1,
-                               rec.ino, rec.offset);
-      continue;
-    }
-    auto it = inodes_.find(rec.ino);
-    if (it != inodes_.end()) {
-      // RMW verification is skipped on replay: the record covers exactly the
-      // bytes the torn apply garbled, so the rewrite restores them whole.
-      it->second.data.write(rec.offset, rec.data, /*verify_rmw=*/false);
-      c_journal_replayed_->inc();
-      sim_.trace().flight_note("fs.journal", "replayed", host(), -1, rec.ino,
-                               rec.offset);
-    }
-    rec.applied = true;
+  using State = PendingWrite::State;
+  PendingWrite& w = pending_;
+  Inode* node = w.state == State::kUnapplied ? find_inode(w.ino) : nullptr;
+  if (w.state == State::kTorn) {
+    // The crash tore the record itself: the write never became durable.
+    // Its half-applied on-disk remnant fails checksum verification, so it
+    // is caught (and repaired from the replica) rather than served.
+    c_journal_discarded_->inc();
+    sim_.trace().flight_note("fs.journal", "discarded", host(), -1, w.ino,
+                             w.offset);
+  } else if (node != nullptr) {
+    // RMW verification is skipped on replay: the record covers exactly the
+    // bytes the torn apply garbled, so the rewrite restores them whole. A
+    // block that was corrupt before the tear was tainted by it and stays
+    // corrupt unless the record covers it in full.
+    node->data.write(w.offset, w.data, /*verify_rmw=*/false);
+    c_journal_replayed_->inc();
+    sim_.trace().flight_note("fs.journal", "replayed", host(), -1, w.ino,
+                             w.offset);
   }
+  // Recovered: a tear before the next write has nothing to interrupt.
+  w.state = State::kNone;
 }
 
 // ---------------------------------------------------------------------------
@@ -361,10 +387,12 @@ void FsServer::inject_bit_flip(std::uint64_t draw) {
 }
 
 void FsServer::tear_last_write(std::uint64_t draw) {
-  auto it = inodes_.find(last_write_ino_);
-  if (it == inodes_.end() || last_write_len_ <= 0) return;
-  const std::int64_t first = last_write_offset_ / costs_.block_size;
-  const std::int64_t end = last_write_offset_ + last_write_len_;
+  PendingWrite& w = pending_;
+  if (down_ || w.state == PendingWrite::State::kNone) return;
+  Inode* node = find_inode(w.ino);
+  if (node == nullptr) return;
+  const std::int64_t first = w.offset / costs_.block_size;
+  const std::int64_t end = w.offset + static_cast<std::int64_t>(w.data.size());
   const std::int64_t nblk = (end - 1) / costs_.block_size - first + 1;
   // A prefix of the run's blocks survives; the suffix (at least one block)
   // is garbled in place — only the bytes the write covered, a neighbour's
@@ -372,17 +400,15 @@ void FsServer::tear_last_write(std::uint64_t draw) {
   const std::int64_t keep =
       static_cast<std::int64_t>(draw % static_cast<std::uint64_t>(nblk));
   const std::int64_t from =
-      std::max(last_write_offset_, (first + keep) * costs_.block_size);
-  it->second.data.garble(from, end - from);
+      std::max(w.offset, (first + keep) * costs_.block_size);
+  node->data.garble(from, end - from);
   // The apply died with the crash. Half the draws also tear the journal
   // record itself (crash mid-append): recovery must discard it and leave
   // the garbled blocks to the checksums instead of replaying garbage.
-  if (!journal_.empty() && journal_.back().ino == last_write_ino_) {
-    journal_.back().applied = false;
-    if ((draw & 1u) != 0) journal_.back().torn = true;
-  }
-  sim_.trace().flight_note("fs.integrity", "write_torn", host(), -1,
-                           last_write_ino_, keep);
+  w.state = (draw & 1u) != 0 ? PendingWrite::State::kTorn
+                             : PendingWrite::State::kUnapplied;
+  sim_.trace().flight_note("fs.integrity", "write_torn", host(), -1, w.ino,
+                           keep);
 }
 
 void FsServer::enable_scrub() {
@@ -836,10 +862,8 @@ void FsServer::finish_open(HostId src, const OpenReq& req, Ino ino,
 
 void FsServer::do_close(HostId src, const CloseReq& req, Respond respond) {
   c_closes_->inc();
-  if (stale_handle(req.id, req.gen))
-    return respond(error_reply(Err::kStale, "close: pre-crash stream"));
-  Inode* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
-  if (node == nullptr) return respond(error_reply(Err::kStale, "close"));
+  Inode* node = handle_inode(req.id, req.gen, "close", respond);
+  if (node == nullptr) return;
   auto it = node->users.find(src);
   if (it != node->users.end()) {
     if (req.flags.read && it->second.readers > 0) --it->second.readers;
@@ -911,13 +935,9 @@ void FsServer::handle_io(HostId src, const Request& req, Respond respond) {
       SPRITE_CHECK(body != nullptr);
       charge(costs_.fs_open_cpu, 0,
              [this, body, respond = std::move(respond)]() mutable {
-               if (stale_handle(body->id, body->gen))
-                 return respond(error_reply(Err::kStale,
-                                            "share offset: pre-crash stream"));
-               auto* node = inodes_.count(body->id.ino) ? &inode(body->id.ino)
-                                                        : nullptr;
-               if (node == nullptr)
-                 return respond(error_reply(Err::kStale, "share offset"));
+               Inode* node =
+                   handle_inode(body->id, body->gen, "share offset", respond);
+               if (node == nullptr) return;
                // First promotion wins; later calls for the same group keep
                // the server's (authoritative) offset.
                node->group_offsets.emplace(body->group, body->offset);
@@ -957,13 +977,9 @@ void FsServer::handle_io(HostId src, const Request& req, Respond respond) {
       SPRITE_CHECK(body != nullptr);
       charge(costs_.fs_block_cpu, 0,
              [this, body, respond = std::move(respond)]() mutable {
-               if (stale_handle(body->id, body->gen))
-                 return respond(error_reply(Err::kStale,
-                                            "truncate: pre-crash stream"));
-               auto* node = inodes_.count(body->id.ino) ? &inode(body->id.ino)
-                                                        : nullptr;
-               if (node == nullptr)
-                 return respond(error_reply(Err::kStale, "truncate"));
+               Inode* node =
+                   handle_inode(body->id, body->gen, "truncate", respond);
+               if (node == nullptr) return;
                node->data.truncate(body->size);
                ReplRecord rec;
                rec.kind = ReplKind::kTruncate;
@@ -982,10 +998,8 @@ void FsServer::handle_io(HostId src, const Request& req, Respond respond) {
 }
 
 void FsServer::do_read(HostId, const ReadReq& req, Respond respond) {
-  if (stale_handle(req.id, req.gen))
-    return respond(error_reply(Err::kStale, "read: pre-crash stream"));
-  auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
-  if (node == nullptr) return respond(error_reply(Err::kStale, "read"));
+  Inode* node = handle_inode(req.id, req.gen, "read", respond);
+  if (node == nullptr) return;
   c_reads_->inc();
   const auto bad = node->data.corrupt_blocks(req.offset, req.len);
   if (!bad.empty()) {
@@ -1003,77 +1017,47 @@ void FsServer::do_read(HostId, const ReadReq& req, Respond respond) {
 }
 
 void FsServer::do_write(HostId, const WriteReq& req, Respond respond) {
-  if (stale_handle(req.id, req.gen))
-    return respond(error_reply(Err::kStale, "write: pre-crash stream"));
-  auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
-  if (node == nullptr) return respond(error_reply(Err::kStale, "write"));
-  if (disk_full_) {
-    // Rejected before replication: the backup never sees the record, so a
-    // full disk cannot make the replicas diverge.
-    c_nospace_->inc();
-    return respond(error_reply(Err::kNoSpace, "disk full"));
-  }
-  c_writes_->inc();
-  auto rep = std::make_shared<WriteRep>();
-  rep->written = pwrite(*node, req.offset, req.data);
-  rep->new_size = node->data.size();
-  c_bytes_written_->inc(rep->written);
-  ReplRecord rec;
-  rec.kind = ReplKind::kWrite;
-  rec.ino = req.id.ino;
-  rec.offset = req.offset;
-  rec.data = req.data;
-  rec.size = node->data.size();
-  rec.version = node->version;
-  replicate({std::move(rec)}, [rep, respond = std::move(respond)]() mutable {
-    respond(Reply{Status::ok(), rep});
-  });
+  Inode* node = handle_inode(req.id, req.gen, "write", respond);
+  if (node == nullptr) return;
+  write_through(*node, req.offset, req.data, std::move(respond),
+                [node](std::int64_t written) {
+                  auto rep = std::make_shared<WriteRep>();
+                  rep->written = written;
+                  rep->new_size = node->data.size();
+                  return rep;
+                });
 }
 
 void FsServer::do_group_io(HostId, IoOp op, const GroupIoReq& req,
                            Respond respond) {
-  if (stale_handle(req.id, req.gen))
-    return respond(error_reply(Err::kStale, "group io: pre-crash stream"));
-  auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
-  if (node == nullptr) return respond(error_reply(Err::kStale, "group io"));
+  Inode* node = handle_inode(req.id, req.gen, "group io", respond);
+  if (node == nullptr) return;
   auto it = node->group_offsets.find(req.group);
   if (it == node->group_offsets.end())
     return respond(error_reply(Err::kInval, "offset not server-managed"));
 
+  std::int64_t& pos = it->second;
+  if (op == IoOp::kGroupWrite) {
+    return write_through(*node, pos, req.data, std::move(respond),
+                         [&pos](std::int64_t written) {
+                           auto rep = std::make_shared<GroupIoRep>();
+                           rep->written = written;
+                           pos += written;
+                           rep->new_offset = pos;
+                           return rep;
+                         });
+  }
+  c_reads_->inc();
+  if (!node->data.corrupt_blocks(pos, req.len).empty()) {
+    c_read_detected_->inc();
+    return respond(error_reply(Err::kCorrupt, "group read: checksum mismatch"));
+  }
   auto rep = std::make_shared<GroupIoRep>();
-  if (op == IoOp::kGroupRead) {
-    c_reads_->inc();
-    if (!node->data.corrupt_blocks(it->second, req.len).empty()) {
-      c_read_detected_->inc();
-      return respond(
-          error_reply(Err::kCorrupt, "group read: checksum mismatch"));
-    }
-    rep->data = node->data.read(it->second, req.len);
-    c_bytes_read_->inc(static_cast<std::int64_t>(rep->data.size()));
-    it->second += static_cast<std::int64_t>(rep->data.size());
-    rep->new_offset = it->second;
-    return respond(Reply{Status::ok(), rep});
-  }
-  if (disk_full_) {
-    c_nospace_->inc();
-    return respond(error_reply(Err::kNoSpace, "disk full"));
-  }
-  c_writes_->inc();
-  const std::int64_t woff = it->second;
-  rep->written = pwrite(*node, woff, req.data);
-  c_bytes_written_->inc(rep->written);
-  it->second += rep->written;
-  rep->new_offset = it->second;
-  ReplRecord rec;
-  rec.kind = ReplKind::kWrite;
-  rec.ino = req.id.ino;
-  rec.offset = woff;
-  rec.data = req.data;
-  rec.size = node->data.size();
-  rec.version = node->version;
-  replicate({std::move(rec)}, [rep, respond = std::move(respond)]() mutable {
-    respond(Reply{Status::ok(), rep});
-  });
+  rep->data = node->data.read(pos, req.len);
+  c_bytes_read_->inc(static_cast<std::int64_t>(rep->data.size()));
+  pos += static_cast<std::int64_t>(rep->data.size());
+  rep->new_offset = pos;
+  respond(Reply{Status::ok(), rep});
 }
 
 void FsServer::notify_pipe_waiters(Inode& node) {
@@ -1094,11 +1078,9 @@ void FsServer::notify_pipe_waiters(Inode& node) {
 
 void FsServer::do_pipe_read(HostId src, const PipeIoReq& req,
                             Respond respond) {
-  if (stale_handle(req.id, req.gen))
-    return respond(error_reply(Err::kStale, "pipe read: pre-crash stream"));
-  auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
-  if (node == nullptr || node->type != FileType::kPipe)
-    return respond(error_reply(Err::kStale, "pipe read"));
+  Inode* node = handle_inode(req.id, req.gen, "pipe read", respond,
+                             /*pipe=*/true);
+  if (node == nullptr) return;
   c_pipe_reads_->inc();
 
   if (!node->pipe_buffer.empty()) {
@@ -1127,11 +1109,9 @@ void FsServer::do_pipe_read(HostId src, const PipeIoReq& req,
 
 void FsServer::do_pipe_write(HostId src, const PipeIoReq& req,
                              Respond respond) {
-  if (stale_handle(req.id, req.gen))
-    return respond(error_reply(Err::kStale, "pipe write: pre-crash stream"));
-  auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
-  if (node == nullptr || node->type != FileType::kPipe)
-    return respond(error_reply(Err::kStale, "pipe write"));
+  Inode* node = handle_inode(req.id, req.gen, "pipe write", respond,
+                             /*pipe=*/true);
+  if (node == nullptr) return;
   c_pipe_writes_->inc();
 
   int readers = 0;
@@ -1154,12 +1134,8 @@ void FsServer::do_pipe_write(HostId src, const PipeIoReq& req,
 
 void FsServer::do_migrate_stream(const MigrateStreamReq& req,
                                  Respond respond) {
-  if (stale_handle(req.id, req.gen))
-    return respond(
-        error_reply(Err::kStale, "migrate stream: pre-crash stream"));
-  auto* node = inodes_.count(req.id.ino) ? &inode(req.id.ino) : nullptr;
-  if (node == nullptr)
-    return respond(error_reply(Err::kStale, "migrate stream"));
+  Inode* node = handle_inode(req.id, req.gen, "migrate stream", respond);
+  if (node == nullptr) return;
   c_stream_migrations_->inc();
   if (trace::Registry& tr = sim_.trace(); tr.tracing())
     tr.instant("fs", "stream re-attributed", rpc_.host(), -1,
@@ -1576,7 +1552,7 @@ void FsServer::apply_record(const ReplRecord& rec) {
       return;
     }
     case ReplKind::kWrite: {
-      Inode* node = inodes_.count(rec.ino) ? &inode(rec.ino) : nullptr;
+      Inode* node = find_inode(rec.ino);
       if (node == nullptr) return;
       pwrite(*node, rec.offset, rec.data);
       node->data.extend(rec.size);
@@ -1584,7 +1560,7 @@ void FsServer::apply_record(const ReplRecord& rec) {
       return;
     }
     case ReplKind::kTruncate: {
-      Inode* node = inodes_.count(rec.ino) ? &inode(rec.ino) : nullptr;
+      Inode* node = find_inode(rec.ino);
       if (node == nullptr) return;
       node->data.truncate(rec.size);
       node->version = std::max(node->version, rec.version);
@@ -1645,7 +1621,7 @@ void FsServer::demote(std::int64_t new_epoch, const char* why) {
 
 void FsServer::boot() {
   down_ = false;
-  // Redo the journal's unapplied tail before serving anything: a write
+  // Recover the pending write before serving anything: a write
   // interrupted by the crash is either replayed whole (intact record) or
   // discarded whole (torn record) — never half-applied.
   journal_recover();
@@ -1711,8 +1687,6 @@ void FsServer::crash_reset() {
   ++boot_generation_;
   down_ = true;  // scrub ticks idle until boot()
   repairing_.clear();
-  last_write_ino_ = kInvalidIno;
-  last_write_len_ = 0;
   for (auto it = inodes_.begin(); it != inodes_.end();) {
     Inode& node = it->second;
     // Pipes are kernel buffers, not disk objects: gone with the crash.

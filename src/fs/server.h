@@ -36,14 +36,15 @@
 // mismatch surfaces Err::kCorrupt, never silent wrong data. Snapshots carry
 // each block's sum and taint, so a resynced replica inherits corruption as
 // corruption instead of blessing it.
-// Writes first land in a bounded redo journal that (like the blocks) survives
-// a crash; boot replays intact unapplied records and discards torn ones, so a
-// write interrupted by a crash is either fully present or fully absent, with
-// its torn on-disk remnant caught by the checksums. An optional background
-// scrubber walks the block space in bounded passes and repairs corrupt blocks
-// from the replica peer (verifying fetched bytes against the local checksum
-// before installing them); without a peer the corruption stays visible as
-// kCorrupt.
+// Each write is first recorded in a one-record redo journal that (like the
+// blocks) survives a crash; a torn crash can only interrupt the newest
+// write, so boot replays that record whole or, if the crash tore the record
+// too, discards it, and the torn on-disk remnant is caught by the
+// checksums. A write is either fully present or fully absent. An optional
+// background scrubber walks the block space in bounded passes and repairs
+// corrupt blocks from the replica peer (verifying fetched bytes against the
+// local checksum before installing them); without a peer the corruption
+// stays visible as kCorrupt.
 #pragma once
 
 #include <cstdint>
@@ -134,7 +135,9 @@ class FsServer {
   void set_disk_full(bool full) { disk_full_ = full; }
   bool disk_full() const { return disk_full_; }
   // Tear the most recent write run: a prefix of its blocks survives, the
-  // rest is garbage. Called immediately before the paired crash hook.
+  // rest is garbage. Called immediately before the paired crash hook; a
+  // no-op while down, before the first write after a boot, or once the
+  // written file is gone.
   void tear_last_write(std::uint64_t draw);
   // Starts the periodic scrub walk (costs.fs_scrub_interval must be > 0).
   void enable_scrub();
@@ -208,7 +211,13 @@ class FsServer {
   util::Result<Ino> lookup(const std::string& path) const;
   util::Result<Ino> create_at(const std::string& path, FileType type);
   Inode& inode(Ino i);
+  Inode* find_inode(Ino i);
   const Inode* find_inode(Ino i) const;
+  // The inode behind a client's handle, or nullptr after replying kStale:
+  // "<op>: pre-crash stream" for a handle from another replica or an
+  // earlier boot, "<op>" when the file (or, with `pipe`, the pipe) is gone.
+  Inode* handle_inode(const FileId& id, std::int64_t gen, const char* op,
+                      Respond& respond, bool pipe = false);
   void maybe_reap(Ino i);
 
   // Creates inode `ino` (which must be free) and returns it.
@@ -216,23 +225,29 @@ class FsServer {
 
   // Journals `data`, stores it at `offset` and grows the file to cover it.
   std::int64_t pwrite(Inode& node, std::int64_t offset, const Bytes& data);
+  // The one path for client data (kWrite and group writes): replies
+  // kNoSpace on a full disk, else stores `data` at `offset`, counts it,
+  // replicates it and sends `make_reply(written)` once the backup has it.
+  template <class MakeReply>
+  void write_through(Inode& node, std::int64_t offset, const Bytes& data,
+                     Respond respond, MakeReply make_reply);
 
   // ---- Integrity helpers ----
-  // One redo-journal record: a write that is durable once appended. Records
-  // live on "disk" (they survive crash_reset); boot replays unapplied intact
-  // records and discards torn ones.
-  struct JournalRec {
+  // The redo journal's one record: the newest write. It lives on "disk"
+  // (it survives crash_reset) until the boot after it has recovered it.
+  struct PendingWrite {
+    enum class State {
+      kNone,       // no write since the last boot's recovery
+      kApplied,    // the blocks hold the whole write
+      kUnapplied,  // a torn crash interrupted the apply: replay at boot
+      kTorn,       // the crash tore the record too: discard at boot
+    };
+    State state = State::kNone;
     Ino ino = kInvalidIno;
     std::int64_t offset = 0;
-    Bytes data;
-    // block_checksum of `data` at append time: garbling confined to one
-    // 8-byte word is always caught, wider damage with high probability.
-    std::uint64_t sum = 0;
-    bool applied = false;   // block apply completed before any crash
-    bool torn = false;      // the crash garbled the record itself
+    Bytes data;  // reused from write to write
   };
-  void journal_append(Ino ino, std::int64_t offset, const Bytes& data);
-  void journal_recover();  // boot-time replay-or-discard of unapplied tail
+  void journal_recover();  // boot: replay or discard the pending write
   void scrub_tick();
   // Fetch `blk` of `ino` from the replica peer and install it if it matches
   // the local checksum (or the block is tainted). No-ops while a repair for
@@ -304,20 +319,17 @@ class FsServer {
   std::int64_t unreplicated_ = 0;  // records the backup has not acked
   bool syncing_ = false;           // backup catch-up fetch in flight
 
-  // Integrity state. The journal is "disk": it survives crash_reset and is
-  // recovered at boot. disk_full_ is an environmental condition injected by
-  // a FaultPlan window. The scrub cursor round-robins over (ino, block).
-  std::deque<JournalRec> journal_;
+  // Integrity state. The pending write is "disk": it survives crash_reset
+  // and is recovered at boot. disk_full_ is an environmental condition
+  // injected by a FaultPlan window. The scrub cursor round-robins over
+  // (ino, block).
+  PendingWrite pending_;
   bool disk_full_ = false;
   bool down_ = false;          // between crash_reset() and boot()
   bool scrub_enabled_ = false;
   Ino scrub_ino_ = 0;
   std::int64_t scrub_blk_ = -1;
   std::set<std::pair<Ino, std::int64_t>> repairing_;
-  // The most recent write run, the torn-crash injection target.
-  Ino last_write_ino_ = kInvalidIno;
-  std::int64_t last_write_offset_ = 0;
-  std::int64_t last_write_len_ = 0;
 
   // Server block cache (timing only): LRU over (ino, block).
   std::list<std::pair<Ino, std::int64_t>> lru_;

@@ -57,14 +57,14 @@ struct OpenFlags {
 
 using Bytes = std::vector<std::uint8_t>;
 
-// Integrity checksum of a stored file block (server block sums, journal
-// record sums). Four independent lanes absorb the bytes as 8-byte words; each
-// lane step is a bijection of the lane state for a fixed word and of the word
-// for a fixed state, so a change confined to one word of an equal-length
-// input (in particular any single-bit flip) always changes the sum. An
-// xorshift after each multiply carries high-bit differences downward, so two
-// flips of bit 63 in consecutive words of one lane cannot cancel. The lanes
-// fold together, then the tail bytes, then the length. Sums are only
+// Integrity checksum of a stored file block (fs/blocks.h). Four independent
+// lanes absorb the bytes as 8-byte words; each lane step is a bijection of
+// the lane state for a fixed word and of the word for a fixed state, so a
+// change confined to one word of an equal-length input (in particular any
+// single-bit flip) always changes the sum. An xorshift after each multiply
+// carries high-bit differences downward, so two flips of bit 63 in
+// consecutive words of one lane cannot cancel. The lanes fold together,
+// then the tail bytes, then the length. Sums are only
 // compared within one process (snapshots hand them between replicas in
 // memory); nothing stores them, so the definition is free to change.
 std::uint64_t block_checksum(const Bytes& b);

@@ -90,9 +90,6 @@ struct Costs {
   // opts in) and how many blocks one pass verifies.
   Time fs_scrub_interval = Time::zero();
   std::int64_t fs_scrub_blocks_per_pass = 256;
-  // Crash-consistent write journal: applied records retained beyond the
-  // redo horizon (bounded memory; recovery only needs unapplied tails).
-  std::int64_t fs_journal_capacity = 1024;
   // Pipe buffer capacity at the server (4.3BSD used 4 KB; Sprite's
   // pseudo-device buffers were larger).
   std::int64_t pipe_capacity = 16 * 1024;

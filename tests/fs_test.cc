@@ -626,6 +626,133 @@ TEST_F(FsTest, BitFlipAfterVerifiedReadIsStillCaught) {
   EXPECT_EQ(tr().counter_value("fs.scrub.read_detected", server_id()), 2);
 }
 
+// ---- Redo journal: a torn final write and the crash after it ----
+
+class FsJournalTest : public FsTest {
+ protected:
+  // A no-cache stream on `path`, created if need be.
+  StreamPtr open_nc(const std::string& path) {
+    OpenFlags flags = OpenFlags::create_rw();
+    flags.no_cache = true;
+    return open_ok(ws(0), path, flags);
+  }
+  void write_at(const StreamPtr& s, std::int64_t offset, const Bytes& data) {
+    ASSERT_TRUE(cluster_.host(ws(0)).fs().seek(s, offset).is_ok());
+    ASSERT_EQ(write_ok(ws(0), s, data), static_cast<std::int64_t>(data.size()));
+  }
+  util::Result<Bytes> read_at(const StreamPtr& s, std::int64_t offset,
+                              std::int64_t len) {
+    EXPECT_TRUE(cluster_.host(ws(0)).fs().seek(s, offset).is_ok());
+    return read_r(ws(0), s, len);
+  }
+  // Crashes the file server and boots it again; its disk (blocks and the
+  // pending journal record) survives. Returns a fresh stream on `path`.
+  StreamPtr crash_and_boot(const std::string& path) {
+    server().crash_reset();
+    server().boot();
+    return open_nc(path);
+  }
+  std::int64_t replayed() {
+    return tr().counter_value("fs.journal.replayed", server_id());
+  }
+  std::int64_t discarded() {
+    return tr().counter_value("fs.journal.discarded", server_id());
+  }
+  std::int64_t bs() { return cluster_.costs().block_size; }
+};
+
+Bytes pattern(std::int64_t n, std::uint8_t salt) {
+  Bytes b(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = static_cast<std::uint8_t>(i * 7 + salt);
+  return b;
+}
+
+TEST_F(FsJournalTest, EvenDrawTearIsReplayedWholeAtBoot) {
+  auto s = open_nc("/j");
+  ASSERT_TRUE(s);
+  const Bytes data = pattern(3 * bs(), 1);
+  write_at(s, 0, data);
+  // Three blocks, draw 4: the first block survives, the other two are
+  // garbled, and the record itself is intact.
+  server().tear_last_write(4);
+  EXPECT_EQ(read_at(s, 0, 3 * bs()).err(), Err::kCorrupt);
+  s = crash_and_boot("/j");
+  ASSERT_TRUE(s);
+  EXPECT_EQ(replayed(), 1);
+  EXPECT_EQ(discarded(), 0);
+  auto got = read_at(s, 0, 3 * bs());
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(*got, data);
+}
+
+TEST_F(FsJournalTest, OddDrawTearIsDiscardedAndTheGarbleStaysVisible) {
+  auto s = open_nc("/j");
+  ASSERT_TRUE(s);
+  const Bytes data = pattern(2 * bs(), 2);
+  write_at(s, 0, data);
+  // Two blocks, draw 1: block 0 survives, block 1 is garbled, and the
+  // record is torn too, so recovery has nothing to replay.
+  server().tear_last_write(1);
+  s = crash_and_boot("/j");
+  ASSERT_TRUE(s);
+  EXPECT_EQ(replayed(), 0);
+  EXPECT_EQ(discarded(), 1);
+  auto first = read_at(s, 0, bs());
+  ASSERT_TRUE(first.is_ok()) << first.status().to_string();
+  EXPECT_EQ(*first, Bytes(data.begin(), data.begin() + bs()));
+  // No replica to repair from: the garbled block fails every read.
+  EXPECT_EQ(read_at(s, bs(), bs()).err(), Err::kCorrupt);
+  EXPECT_EQ(read_at(s, 0, 2 * bs()).err(), Err::kCorrupt);
+}
+
+TEST_F(FsJournalTest, TearWithNoWriteSinceTheCrashIsANoOp) {
+  auto s = open_nc("/j");
+  ASSERT_TRUE(s);
+  const Bytes data = pattern(2 * bs(), 3);
+  write_at(s, 0, data);
+  server().crash_reset();
+  server().tear_last_write(2);  // down: the crash already happened
+  server().boot();
+  server().tear_last_write(3);  // up, but nothing written since the boot
+  s = open_nc("/j");
+  ASSERT_TRUE(s);
+  auto got = read_at(s, 0, 2 * bs());
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(*got, data);
+  EXPECT_EQ(replayed(), 0);
+  EXPECT_EQ(discarded(), 0);
+}
+
+TEST_F(FsJournalTest, ReplayDoesNotBlessABitFlipOutsideTheRecord) {
+  // A block flipped after its last verified write and before a torn crash
+  // must stay corrupt once recovery replays a record that covers only part
+  // of it: the replay's fresh sum would otherwise bless the flipped bytes.
+  auto s = open_nc("/j");
+  ASSERT_TRUE(s);
+  write_at(s, 0, Bytes(static_cast<std::size_t>(bs()), 'A'));
+  write_at(s, 0, Bytes(100, 'B'));
+  server().inject_bit_flip(2000);  // the one stored block, byte 2000
+  server().tear_last_write(2);
+  s = crash_and_boot("/j");
+  ASSERT_TRUE(s);
+  EXPECT_EQ(replayed(), 1);
+  EXPECT_EQ(read_at(s, 0, bs()).err(), Err::kCorrupt);
+}
+
+TEST_F(FsJournalTest, PartialWriteAfterABitFlipStaysCorruptThroughReplay) {
+  auto s = open_nc("/j");
+  ASSERT_TRUE(s);
+  write_at(s, 0, Bytes(static_cast<std::size_t>(bs()), 'A'));
+  server().inject_bit_flip(2000);
+  write_at(s, 0, Bytes(100, 'B'));
+  server().tear_last_write(2);
+  s = crash_and_boot("/j");
+  ASSERT_TRUE(s);
+  EXPECT_EQ(replayed(), 1);
+  EXPECT_EQ(read_at(s, 0, bs()).err(), Err::kCorrupt);
+}
+
 // ---- block_checksum detection properties ----
 
 Bytes random_block(std::size_t n, std::uint64_t seed) {
@@ -733,6 +860,18 @@ TEST(FileBlocksTest, RepairNeedsTheStoredSumUnlessTainted) {
   EXPECT_TRUE(blocks.repair(0, peer));
   EXPECT_TRUE(blocks.verify(0));
   EXPECT_EQ(blocks.read(0, 64), peer);
+}
+
+TEST(FileBlocksTest, FullOverwriteOfATaintedBlockClearsTheTaint) {
+  FileBlocks blocks(64);
+  blocks.write(0, Bytes(64, 'a'), /*verify_rmw=*/true);
+  blocks.flip_bit(0, 5);
+  blocks.write(10, Bytes(4, 'w'), /*verify_rmw=*/true);
+  ASSERT_FALSE(blocks.verify(0));
+  // Every byte is new, so nothing of the corrupt version survives.
+  blocks.write(0, Bytes(64, 'n'), /*verify_rmw=*/true);
+  EXPECT_TRUE(blocks.verify(0));
+  EXPECT_EQ(blocks.read(0, 64), Bytes(64, 'n'));
 }
 
 TEST(FileBlocksTest, ImportedRecordsAreCheckedOnFirstUse) {
